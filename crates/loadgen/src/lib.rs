@@ -261,6 +261,77 @@ struct ClientSlot {
     pending: HashMap<u64, Instant>,
 }
 
+/// No-serving-primary windows seen so far, from the stack's own serving
+/// signal: closed `[since, until)` intervals plus the one still open.
+#[derive(Default)]
+struct DownWindows {
+    closed: Vec<(Instant, Instant)>,
+    open: Option<Instant>,
+}
+
+impl DownWindows {
+    /// Whether a sample spanning `[from, to]` overlaps any window.
+    fn overlap(&self, from: Instant, to: Instant) -> bool {
+        self.open.is_some_and(|s| to >= s)
+            || self.closed.iter().any(|&(s, u)| from < u && to >= s)
+    }
+}
+
+/// Every latency a soak records, and how its requests resolved. Both the
+/// response drain and the expiry sweep resolve requests through
+/// [`Latencies::resolve`], so the censoring rule lives in one place.
+struct Latencies {
+    timeout: Duration,
+    overall: hist::Histogram,
+    steady: hist::Histogram,
+    outage: hist::Histogram,
+    responses_ok: u64,
+    timeouts: u64,
+    late_responses: u64,
+}
+
+impl Latencies {
+    fn new(timeout: Duration) -> Latencies {
+        Latencies {
+            timeout,
+            overall: hist::Histogram::new(),
+            steady: hist::Histogram::new(),
+            outage: hist::Histogram::new(),
+            responses_ok: 0,
+            timeouts: 0,
+            late_responses: 0,
+        }
+    }
+
+    /// Resolves one request whose latency origin is `origin`, answered
+    /// at `answered` (`None`: it expired unanswered). A reply within the
+    /// timeout is recorded at its latency. A reply after its deadline —
+    /// drained late because the loop stalled — or no reply at all is a
+    /// timeout: recorded censored at the bound and placed in time at its
+    /// deadline (a late reply also counts as late). The sample goes to
+    /// the outage histogram when its span overlaps a down window.
+    fn resolve(&mut self, origin: Instant, answered: Option<Instant>, down: &DownWindows) {
+        let deadline = origin + self.timeout;
+        let (us, end) = match answered {
+            Some(at) if at <= deadline => {
+                self.responses_ok += 1;
+                (at.saturating_duration_since(origin).as_micros() as u64, at)
+            }
+            late => {
+                self.timeouts += 1;
+                self.late_responses += u64::from(late.is_some());
+                (self.timeout.as_micros() as u64, deadline)
+            }
+        };
+        self.overall.record(us);
+        if down.overlap(origin, end) {
+            self.outage.record(us);
+        } else {
+            self.steady.record(us);
+        }
+    }
+}
+
 /// Draws an exponential inter-arrival gap with the given mean.
 fn exp_gap(rng: &mut SmallRng, mean_secs: f64) -> Duration {
     // Uniform in (0, 1]: never 0, so ln() is finite.
@@ -313,19 +384,11 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakReport {
     let mut step: u64 = 1;
     let mut next_step_at = start + cfg.tick;
 
-    // Failover windows, tracked from the stack's own serving signal:
-    // [since, until) intervals with no serving primary. A sample whose
-    // [scheduled, completed] span overlaps any window is outage-tainted.
-    let mut down_windows: Vec<(Instant, Instant)> = Vec::new();
-    let mut down_since: Option<Instant> = None;
-
-    let mut overall = hist::Histogram::new();
-    let mut steady = hist::Histogram::new();
-    let mut outage_h = hist::Histogram::new();
+    // Failover windows: a sample whose [scheduled, completed] span
+    // overlaps any window is outage-tainted.
+    let mut down = DownWindows::default();
+    let mut lat = Latencies::new(cfg.timeout);
     let mut requests_sent = 0u64;
-    let mut responses_ok = 0u64;
-    let mut timeouts = 0u64;
-    let mut late_responses = 0u64;
     let mut events: Vec<NetEvent> = Vec::new();
 
     loop {
@@ -377,21 +440,8 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakReport {
                     continue;
                 };
                 match slot.pending.remove(&seq) {
-                    Some(scheduled) => {
-                        let us = completed.saturating_duration_since(scheduled).as_micros() as u64;
-                        overall.record(us);
-                        let tainted = down_since.is_some_and(|s| completed >= s)
-                            || down_windows
-                                .iter()
-                                .any(|&(s, u)| scheduled < u && completed >= s);
-                        if tainted {
-                            outage_h.record(us);
-                        } else {
-                            steady.record(us);
-                        }
-                        responses_ok += 1;
-                    }
-                    None => late_responses += 1,
+                    Some(scheduled) => lat.resolve(scheduled, Some(completed), &down),
+                    None => lat.late_responses += 1,
                 }
             }
             if cfg.closed_loop && in_flight > 0 && slot.pending.is_empty() {
@@ -406,27 +456,14 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakReport {
         //    censoring the outage impact would vanish from the latency
         //    distribution entirely — the coordinated-omission trap.
         if let Some(cutoff) = now.checked_sub(cfg.timeout) {
-            let timeout_us = cfg.timeout.as_micros() as u64;
             for slot in &mut slots {
                 let in_flight = slot.pending.len();
                 slot.pending.retain(|_, scheduled| {
-                    if *scheduled <= cutoff {
-                        let expiry = *scheduled + cfg.timeout;
-                        overall.record(timeout_us);
-                        let tainted = down_since.is_some_and(|s| expiry >= s)
-                            || down_windows
-                                .iter()
-                                .any(|&(s, u)| *scheduled < u && expiry >= s);
-                        if tainted {
-                            outage_h.record(timeout_us);
-                        } else {
-                            steady.record(timeout_us);
-                        }
-                        timeouts += 1;
-                        false
-                    } else {
-                        true
+                    let expired = *scheduled <= cutoff;
+                    if expired {
+                        lat.resolve(*scheduled, None, &down);
                     }
+                    !expired
                 });
                 if cfg.closed_loop && in_flight > 0 && slot.pending.is_empty() {
                     slot.next_due = now + exp_gap(&mut slot.arrivals, per_client_mean);
@@ -442,11 +479,11 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakReport {
             step += 1;
             next_step_at += cfg.tick;
             let serving = stack.pb_primary_serving();
-            match (down_since, serving) {
-                (None, false) => down_since = Some(now),
+            match (down.open, serving) {
+                (None, false) => down.open = Some(now),
                 (Some(s), true) => {
-                    down_windows.push((s, now));
-                    down_since = None;
+                    down.closed.push((s, now));
+                    down.open = None;
                 }
                 _ => {}
             }
@@ -455,13 +492,22 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakReport {
         // 6. Brief nap so an idle loop does not spin a core.
         std::thread::sleep(cfg.timing.poll_interval);
     }
-    if let Some(s) = down_since {
-        down_windows.push((s, deadline));
+    if let Some(s) = down.open.take() {
+        down.closed.push((s, deadline));
     }
 
     let elapsed = start.elapsed().as_secs_f64();
     let avail = stack.availability();
     let nstats = stack.net_stats();
+    let Latencies {
+        overall,
+        steady,
+        outage: outage_h,
+        responses_ok,
+        timeouts,
+        late_responses,
+        ..
+    } = lat;
     let steady_p999 = steady.quantile(0.999);
     let outage_p999 = outage_h.quantile(0.999);
     SoakReport {
@@ -565,6 +611,36 @@ mod tests {
             assert!(paired.contains(key), "missing {key} in {paired}");
         }
         assert!(paired.starts_with("{\n") && paired.ends_with("}\n"));
+    }
+
+    /// A reply drained after its deadline — the loop stalled past it —
+    /// is a timeout censored at the bound, never a latency sample above
+    /// it, and it resolves exactly like the expiry sweep's timeout.
+    #[test]
+    fn a_reply_drained_after_its_deadline_is_censored_as_a_timeout() {
+        let timeout = Duration::from_millis(1000);
+        let origin = Instant::now();
+        let down = DownWindows::default();
+        let mut lat = Latencies::new(timeout);
+        lat.resolve(origin, Some(origin + Duration::from_millis(5)), &down);
+        assert_eq!((lat.responses_ok, lat.timeouts, lat.late_responses), (1, 0, 0));
+        lat.resolve(origin, Some(origin + Duration::from_millis(2500)), &down);
+        assert_eq!((lat.responses_ok, lat.timeouts, lat.late_responses), (1, 1, 1));
+        assert_eq!(lat.overall.max(), timeout.as_micros() as u64, "censored at the bound");
+        let mut swept = Latencies::new(timeout);
+        swept.resolve(origin, None, &down);
+        assert_eq!((swept.responses_ok, swept.timeouts, swept.late_responses), (0, 1, 0));
+        assert_eq!(swept.overall.max(), lat.overall.max());
+
+        // A late reply is placed in time at its deadline: a window that
+        // opened after the deadline does not taint it.
+        let down = DownWindows {
+            closed: vec![(origin + Duration::from_millis(1500), origin + Duration::from_millis(2000))],
+            open: None,
+        };
+        let mut lat = Latencies::new(timeout);
+        lat.resolve(origin, Some(origin + Duration::from_millis(2500)), &down);
+        assert_eq!((lat.steady.count(), lat.outage.count()), (1, 0));
     }
 
     #[test]

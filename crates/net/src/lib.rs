@@ -19,9 +19,9 @@
 //! * [`threaded::ThreadNet`] — a crossbeam-channel runtime with the same
 //!   semantics over real threads, used by the runnable examples.
 //! * [`sock::SockNet`] — the same semantics over real kernel sockets
-//!   (TCP loopback or Unix-domain, non-blocking with a hand-rolled
-//!   readiness loop), used by the `fortress-loadgen` wall-clock soak
-//!   harness. The shared behavioural contract all three must satisfy
+//!   (TCP loopback or Unix-domain, non-blocking, driven by an
+//!   in-process readiness ledger), used by the `fortress-loadgen`
+//!   wall-clock soak harness. The shared behavioural contract all three must satisfy
 //!   lives in [`conformance`].
 //!
 //! The crash observable is the point: de-randomization attacks (paper

@@ -11,12 +11,39 @@
 //!
 //! # Reactor
 //!
-//! All sockets are non-blocking; a small hand-rolled readiness pass
-//! ([`Transport::step`]) accepts pending connections, flushes queued
-//! writes, reads and reassembles frames, and polls idle connections for
-//! EOF. The pass is single-threaded and owned by the drive loop, exactly
-//! like `SimNet` — no background threads, no epoll dependency (the
-//! offline-shim constraint), just `std::net` + `WouldBlock`.
+//! All sockets are non-blocking, and one single-threaded readiness pass
+//! ([`Transport::step`]), owned by the drive loop exactly like
+//! `SimNet`'s, makes all the progress: no background threads, no
+//! `poll`/`epoll` dependency (the offline-shim constraint), just
+//! `std::net` and `WouldBlock`.
+//!
+//! The pass does not ask the kernel which sockets are ready; it already
+//! knows. `SockNet` owns *both* ends of every connection it carries, so a
+//! readiness ledger (one entry per connection id) records everything the
+//! kernel could have to say:
+//!
+//! * how many bytes the dialing half has flushed into the kernel, against
+//!   how many the accepting half has read out;
+//! * which listeners hold dials not yet accepted;
+//! * which halves this transport has itself closed — a crash, a dead
+//!   connection dropped after its EOF or write error, a session retired
+//!   after its closure surfaced.
+//!
+//! A pass therefore reads an accepted connection only while its dialer's
+//! flushed count is ahead of its read count, its dialer half is closed
+//! (an EOF is coming) or its hello is still unparsed (the hello names the
+//! ledger entry), and stops as soon as the counts match; it accepts only
+//! on listeners with pending dials; it polls an outgoing connection for
+//! EOF only once the accepting half is closed; and it flushes only
+//! connections with queued bytes. Every other socket costs no system
+//! call, so an idle connection is free however many there are. The kernel
+//! still carries every byte and every EOF — the crash observable stays
+//! the kernel's; the ledger only chooses which descriptor to look at.
+//!
+//! The knowledge is exact only because every byte and every close goes
+//! through this one process's `SockNet`. Endpoints spread over several
+//! processes would not share a ledger, and would have to ask the kernel
+//! instead (`poll`/`epoll` readiness over every descriptor).
 //!
 //! # Framing
 //!
@@ -39,6 +66,7 @@
 //! bytes the kernel will still deliver (a graceful close flushes them)
 //! are left to be counted on arrival.
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -102,6 +130,8 @@ impl Default for SockTiming {
 const HELLO_LEN: usize = 4 + 8 + 8;
 /// Defensive cap on a single frame (the envelope never comes close).
 const MAX_FRAME: usize = 16 * 1024 * 1024;
+/// Size of the one read buffer every socket read goes through.
+const READ_CHUNK: usize = 16 * 1024;
 /// Run a global accept pass after this many connects between steps, so
 /// a burst of dials from one drive loop cannot overflow a listener
 /// backlog before the reactor runs again.
@@ -120,11 +150,62 @@ const SETTLE_IDLE_POLLS: u32 = 50;
 /// process (Unix socket directory names).
 static INSTANCES: AtomicU64 = AtomicU64::new(0);
 
+/// Socket calls made by the current thread, so tests can hold the
+/// reactor to its syscall budget.
+#[cfg(test)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct SockCalls {
+    reads: u64,
+    writes: u64,
+    accepts: u64,
+    /// Calls of any kind that came back `WouldBlock`.
+    would_block: u64,
+}
+
+#[cfg(test)]
+thread_local! {
+    static CALLS: std::cell::Cell<SockCalls> = std::cell::Cell::new(SockCalls::default());
+}
+
+/// Counts one socket call on the current thread.
+#[cfg(test)]
+fn count_call<T>(result: &std::io::Result<T>, count: fn(&mut SockCalls)) {
+    CALLS.with(|calls| {
+        let mut c = calls.get();
+        count(&mut c);
+        if result
+            .as_ref()
+            .is_err_and(|e| e.kind() == ErrorKind::WouldBlock)
+        {
+            c.would_block += 1;
+        }
+        calls.set(c);
+    });
+}
+
 #[derive(Debug)]
 enum Listener {
     Tcp(TcpListener),
     #[cfg(unix)]
     Uds(UnixListener, PathBuf),
+}
+
+impl Listener {
+    fn accept(&self) -> std::io::Result<Stream> {
+        let accepted = match self {
+            Listener::Tcp(l) => l.accept().and_then(|(s, _)| {
+                let _ = s.set_nodelay(true);
+                s.set_nonblocking(true).map(|()| Stream::Tcp(s))
+            }),
+            #[cfg(unix)]
+            Listener::Uds(l, _) => l
+                .accept()
+                .and_then(|(s, _)| s.set_nonblocking(true).map(|()| Stream::Uds(s))),
+        };
+        #[cfg(test)]
+        count_call(&accepted, |c| c.accepts += 1);
+        accepted
+    }
 }
 
 impl Drop for Listener {
@@ -145,19 +226,25 @@ enum Stream {
 
 impl Stream {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        match self {
+        let n = match self {
             Stream::Tcp(s) => s.read(buf),
             #[cfg(unix)]
             Stream::Uds(s) => s.read(buf),
-        }
+        };
+        #[cfg(test)]
+        count_call(&n, |c| c.reads += 1);
+        n
     }
 
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        match self {
+        let n = match self {
             Stream::Tcp(s) => s.write(buf),
             #[cfg(unix)]
             Stream::Uds(s) => s.write(buf),
-        }
+        };
+        #[cfg(test)]
+        count_call(&n, |c| c.writes += 1);
+        n
     }
 }
 
@@ -167,6 +254,45 @@ enum Target {
     Tcp(SocketAddr),
     #[cfg(unix)]
     Uds(PathBuf),
+}
+
+/// The readiness ledger's entry for one connection: what the transport
+/// knows the kernel holds for each of its halves. Created at dial time,
+/// pruned once both halves are closed.
+#[derive(Debug)]
+struct Link {
+    /// Dialing endpoint and its epoch.
+    dialer: (u32, u64),
+    /// Accepting endpoint and its epoch.
+    acceptor: (u32, u64),
+    /// Bytes the dialing half has written into the kernel (hello
+    /// included).
+    flushed: u64,
+    /// The dialing half was closed: the accepting half will read EOF
+    /// after the last flushed byte.
+    dialer_closed: bool,
+    /// The accepting half, or the listener still holding it unaccepted,
+    /// was closed: the dialing half will read EOF or a reset.
+    acceptor_closed: bool,
+}
+
+/// The readiness ledger, keyed by connection id.
+type Ledger = HashMap<u64, Link>;
+
+/// Records that one half of connection `conn_id` was closed, pruning the
+/// entry once both are.
+fn close_half(links: &mut Ledger, conn_id: u64, dialer: bool) {
+    if let Entry::Occupied(mut entry) = links.entry(conn_id) {
+        let link = entry.get_mut();
+        if dialer {
+            link.dialer_closed = true;
+        } else {
+            link.acceptor_closed = true;
+        }
+        if link.dialer_closed && link.acceptor_closed {
+            entry.remove();
+        }
+    }
 }
 
 /// One outgoing connection (this endpoint dialing `to`).
@@ -206,10 +332,11 @@ impl OutConn {
         }
     }
 
-    /// Writes as much pending data as the kernel accepts. Returns
-    /// whether any bytes moved; marks the connection dead on a hard
-    /// write error.
-    fn flush(&mut self) -> bool {
+    /// Writes as much pending data as the kernel accepts, recording the
+    /// flushed count in the ledger. Returns whether any bytes moved;
+    /// marks the connection dead on a hard write error. Makes no call
+    /// when nothing is pending.
+    fn flush(&mut self, links: &mut Ledger) -> bool {
         let mut progressed = false;
         while self.wpos < self.wbuf.len() && !self.dead {
             match self.stream.write(&self.wbuf[self.wpos..]) {
@@ -239,6 +366,11 @@ impl OutConn {
         {
             self.frame_ends.pop_front();
             self.fully_flushed += 1;
+        }
+        if progressed {
+            if let Some(link) = links.get_mut(&self.conn_id) {
+                link.flushed = self.bytes_flushed;
+            }
         }
         progressed
     }
@@ -273,10 +405,78 @@ struct InConn {
     rbuf: Vec<u8>,
     /// `(peer addr, peer epoch)` once the hello has been parsed.
     peer: Option<(u32, u64)>,
+    /// The connection's ledger key, named by the hello.
     conn_id: u64,
+    /// Total bytes ever read out of the kernel (hello included).
+    bytes_read: u64,
     /// Frames parsed and pushed to the inbox.
     delivered: u64,
     dead: bool,
+}
+
+impl InConn {
+    fn accepted(stream: Stream) -> InConn {
+        InConn {
+            stream,
+            rbuf: Vec::new(),
+            peer: None,
+            conn_id: 0,
+            bytes_read: 0,
+            delivered: 0,
+            dead: false,
+        }
+    }
+
+    /// Whether the ledger says the kernel holds something for this
+    /// connection: unread flushed bytes, or an EOF after a closed dialer.
+    /// Before the hello is parsed the ledger entry is unknown, so the
+    /// answer is yes.
+    fn readable(&self, links: &Ledger) -> bool {
+        if self.dead {
+            return false;
+        }
+        if self.peer.is_none() {
+            return true;
+        }
+        links
+            .get(&self.conn_id)
+            .is_some_and(|l| l.flushed > self.bytes_read || l.dialer_closed)
+    }
+
+    /// Reads while [`InConn::readable`] holds, parsing the hello as soon
+    /// as it is complete. Returns whether any bytes arrived.
+    fn read_ready(&mut self, links: &Ledger, buf: &mut [u8]) -> bool {
+        let mut progressed = false;
+        while self.readable(links) {
+            match self.stream.read(buf) {
+                Ok(0) => self.dead = true,
+                Ok(n) => {
+                    self.rbuf.extend_from_slice(&buf[..n]);
+                    self.bytes_read += n as u64;
+                    progressed = true;
+                    self.parse_hello();
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(_) => self.dead = true,
+            }
+        }
+        progressed
+    }
+
+    /// Parses the hello out of `rbuf` once all of it has arrived.
+    fn parse_hello(&mut self) {
+        if self.peer.is_some() || self.rbuf.len() < HELLO_LEN {
+            return;
+        }
+        let buf = &self.rbuf;
+        let peer = u32::from_le_bytes(buf[0..4].try_into().expect("hello addr"));
+        let conn_id = u64::from_le_bytes(buf[4..12].try_into().expect("hello conn id"));
+        let epoch = u64::from_le_bytes(buf[12..20].try_into().expect("hello epoch"));
+        self.peer = Some((peer, epoch));
+        self.conn_id = conn_id;
+        self.rbuf.drain(..HELLO_LEN);
+    }
 }
 
 #[derive(Debug)]
@@ -290,8 +490,11 @@ struct Endpoint {
     inbox: VecDeque<NetEvent>,
     out: Vec<OutConn>,
     inc: Vec<InConn>,
+    /// Dials into the current listener not yet accepted.
+    unaccepted: u32,
     /// `(peer, peer epoch)` sessions whose closure was already surfaced,
     /// so the two halves of one dead session yield one closure event.
+    /// Pruned when the peer restarts (see [`SockNet::forget_sessions`]).
     closures_seen: HashSet<(u32, u64)>,
 }
 
@@ -302,6 +505,10 @@ pub struct SockNet {
     kind: SockKind,
     timing: SockTiming,
     endpoints: Vec<Endpoint>,
+    /// The readiness ledger: every connection with a half still open.
+    links: Ledger,
+    /// The one buffer every socket read goes through.
+    read_buf: Vec<u8>,
     stats: NetStats,
     /// Unix socket directory (removed on drop).
     dir: Option<PathBuf>,
@@ -358,6 +565,8 @@ impl SockNet {
             kind,
             timing,
             endpoints: Vec::new(),
+            links: Ledger::new(),
+            read_buf: vec![0; READ_CHUNK],
             stats: NetStats::default(),
             dir,
             next_conn_id: 1,
@@ -451,67 +660,81 @@ impl SockNet {
         self.dirty = true;
     }
 
-    /// One readiness pass: accepts, flushes, reads, EOF-polls. Returns
-    /// whether anything moved.
+    /// One readiness pass over what the ledger says is ready: accepts,
+    /// flushes, reads, EOF-polls. Returns whether anything moved.
     fn poll_once(&mut self) -> bool {
-        let mut progressed = false;
         self.connects_since_accept = 0;
-        progressed |= accept_pass(&mut self.endpoints);
-        let mut stats = self.stats;
-        for ep in &mut self.endpoints {
-            progressed |= service_endpoint(ep, &mut stats);
+        let mut progressed = accept_pass(&mut self.endpoints);
+        let SockNet {
+            endpoints,
+            links,
+            read_buf,
+            stats,
+            ..
+        } = self;
+        for ep in endpoints.iter_mut() {
+            progressed |= service_endpoint(ep, links, stats, read_buf);
         }
-        self.stats = stats;
         progressed
+    }
+
+    /// Forgets the closures `peer`'s older epochs left at every endpoint,
+    /// once the ledger holds no connection that could surface them again.
+    /// A session at an epoch the peer has left can gain no new
+    /// connection, so this keeps `closures_seen` bounded by the live
+    /// endpoints instead of growing with every restart.
+    fn forget_sessions(&mut self, peer: u32) {
+        let epoch = self.endpoints[peer as usize].epoch;
+        let links = &self.links;
+        for (i, ep) in self.endpoints.iter_mut().enumerate() {
+            let here = i as u32;
+            ep.closures_seen.retain(|&(p, e)| {
+                p != peer
+                    || e >= epoch
+                    || links.values().any(|l| {
+                        (l.dialer == (p, e) && l.acceptor.0 == here)
+                            || (l.acceptor == (p, e) && l.dialer.0 == here)
+                    })
+            });
+        }
     }
 }
 
-/// Accepts every pending connection on every live listener. Returns
-/// whether anything was accepted; accepted connections learn their
-/// peer identity and connection id from the hello they carry.
+/// Accepts every dial the ledger holds pending, on just the listeners
+/// that have some. Returns whether anything was accepted; accepted
+/// connections learn their peer identity and connection id from the
+/// hello they carry.
 fn accept_pass(endpoints: &mut [Endpoint]) -> bool {
     let mut progressed = false;
     for ep in endpoints {
         let Some(listener) = &ep.listener else { continue };
-        loop {
-            let accepted = match listener {
-                Listener::Tcp(l) => match l.accept() {
-                    Ok((s, _)) => {
-                        let _ = s.set_nodelay(true);
-                        s.set_nonblocking(true).ok().map(|()| Stream::Tcp(s))
-                    }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => None,
-                    Err(_) => None,
-                },
-                #[cfg(unix)]
-                Listener::Uds(l, _) => match l.accept() {
-                    Ok((s, _)) => s.set_nonblocking(true).ok().map(|()| Stream::Uds(s)),
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => None,
-                    Err(_) => None,
-                },
-            };
-            match accepted {
-                Some(stream) => {
+        while ep.unaccepted > 0 {
+            match listener.accept() {
+                Ok(stream) => {
                     progressed = true;
-                    ep.inc.push(InConn {
-                        stream,
-                        rbuf: Vec::new(),
-                        peer: None,
-                        conn_id: 0,
-                        delivered: 0,
-                        dead: false,
-                    });
+                    ep.unaccepted -= 1;
+                    ep.inc.push(InConn::accepted(stream));
                 }
-                None => break,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                // The dial was torn down in the backlog: it is gone.
+                Err(e) if e.kind() == ErrorKind::ConnectionAborted => ep.unaccepted -= 1,
+                // Not complete yet (or out of descriptors): next pass.
+                Err(_) => break,
             }
         }
     }
     progressed
 }
 
-/// Flushes and EOF-polls outgoing connections, reads and frames
-/// incoming ones, surfaces closures. Mutates only `ep` and `stats`.
-fn service_endpoint(ep: &mut Endpoint, stats: &mut NetStats) -> bool {
+/// Flushes, EOF-polls, reads and frames the connections of `ep` the
+/// ledger says are ready, surfaces closures and records the halves it
+/// closes. Connections with nothing to do cost no socket call.
+fn service_endpoint(
+    ep: &mut Endpoint,
+    links: &mut Ledger,
+    stats: &mut NetStats,
+    buf: &mut [u8],
+) -> bool {
     let mut progressed = false;
     let mut dead_sessions: Vec<(u32, u64)> = Vec::new();
 
@@ -519,36 +742,17 @@ fn service_endpoint(ep: &mut Endpoint, stats: &mut NetStats) -> bool {
         if conn.dead {
             continue;
         }
-        progressed |= conn.flush();
-        conn.poll_eof();
+        progressed |= conn.flush(links);
+        if links.get(&conn.conn_id).is_some_and(|l| l.acceptor_closed) {
+            conn.poll_eof();
+        }
         if conn.dead {
             dead_sessions.push((conn.to, conn.peer_epoch));
         }
     }
 
-    let mut read_chunk = [0u8; 16 * 1024];
     for conn in &mut ep.inc {
-        if conn.dead {
-            continue;
-        }
-        loop {
-            match conn.stream.read(&mut read_chunk) {
-                Ok(0) => {
-                    conn.dead = true;
-                    break;
-                }
-                Ok(n) => {
-                    conn.rbuf.extend_from_slice(&read_chunk[..n]);
-                    progressed = true;
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    conn.dead = true;
-                    break;
-                }
-            }
-        }
+        progressed |= conn.read_ready(links, buf);
         progressed |= parse_frames(conn, &mut ep.inbox, stats);
         if conn.dead {
             if let Some(session) = conn.peer {
@@ -557,23 +761,20 @@ fn service_endpoint(ep: &mut Endpoint, stats: &mut NetStats) -> bool {
         }
     }
 
-    if !dead_sessions.is_empty() {
-        // Both halves of a session can EOF in one pass; one closure per
-        // dead (peer, epoch) session, ever.
-        for session in dead_sessions {
-            retire_session(ep, session);
-            if ep.closures_seen.insert(session) {
-                stats.closures += 1;
-                ep.inbox.push_back(NetEvent::ConnectionClosed {
-                    peer: Addr::from_raw(session.0),
-                    at: 0,
-                });
-                progressed = true;
-            }
+    // Both halves of a session can EOF in one pass; one closure per dead
+    // (peer, epoch) session, ever.
+    for session in dead_sessions {
+        retire_session(ep, session);
+        if ep.closures_seen.insert(session) {
+            stats.closures += 1;
+            ep.inbox.push_back(NetEvent::ConnectionClosed {
+                peer: Addr::from_raw(session.0),
+                at: 0,
+            });
+            progressed = true;
         }
-        ep.out.retain(|c| !c.dead);
-        ep.inc.retain(|c| !c.dead);
     }
+    drop_dead(ep, links);
     progressed
 }
 
@@ -592,26 +793,33 @@ fn retire_session(ep: &mut Endpoint, session: (u32, u64)) {
     }
 }
 
-/// Parses the hello and every complete frame out of `conn.rbuf`,
-/// delivering messages to `inbox`. Returns whether anything was parsed.
+/// Drops `ep`'s dead connections (which closes their sockets) and
+/// records each closed half in the ledger, so the other half's owner
+/// looks for the EOF.
+fn drop_dead(ep: &mut Endpoint, links: &mut Ledger) {
+    ep.out.retain(|c| {
+        if c.dead {
+            close_half(links, c.conn_id, true);
+        }
+        !c.dead
+    });
+    ep.inc.retain(|c| {
+        if c.dead && c.peer.is_some() {
+            close_half(links, c.conn_id, false);
+        }
+        !c.dead
+    });
+}
+
+/// Parses every complete frame out of `conn.rbuf`, delivering messages
+/// to `inbox`. Returns whether anything was parsed.
 fn parse_frames(conn: &mut InConn, inbox: &mut VecDeque<NetEvent>, stats: &mut NetStats) -> bool {
-    let mut progressed = false;
+    let Some((peer, _)) = conn.peer else {
+        return false;
+    };
     let mut pos = 0usize;
     loop {
         let buf = &conn.rbuf[pos..];
-        if conn.peer.is_none() {
-            if buf.len() < HELLO_LEN {
-                break;
-            }
-            let peer = u32::from_le_bytes(buf[0..4].try_into().expect("hello addr"));
-            let conn_id = u64::from_le_bytes(buf[4..12].try_into().expect("hello conn id"));
-            let epoch = u64::from_le_bytes(buf[12..20].try_into().expect("hello epoch"));
-            conn.peer = Some((peer, epoch));
-            conn.conn_id = conn_id;
-            pos += HELLO_LEN;
-            progressed = true;
-            continue;
-        }
         if buf.len() < 4 {
             break;
         }
@@ -624,7 +832,6 @@ fn parse_frames(conn: &mut InConn, inbox: &mut VecDeque<NetEvent>, stats: &mut N
             break;
         }
         let payload = Bytes::copy_from_slice(&buf[4..4 + len]);
-        let (peer, _) = conn.peer.expect("hello parsed");
         inbox.push_back(NetEvent::Message {
             from: Addr::from_raw(peer),
             payload,
@@ -633,12 +840,11 @@ fn parse_frames(conn: &mut InConn, inbox: &mut VecDeque<NetEvent>, stats: &mut N
         conn.delivered += 1;
         stats.delivered += 1;
         pos += 4 + len;
-        progressed = true;
     }
     if pos > 0 {
         conn.rbuf.drain(..pos);
     }
-    progressed
+    pos > 0
 }
 
 impl Transport for SockNet {
@@ -654,6 +860,7 @@ impl Transport for SockNet {
             inbox: VecDeque::new(),
             out: Vec::new(),
             inc: Vec::new(),
+            unaccepted: 0,
             closures_seen: HashSet::new(),
         });
         Addr::from_raw(index as u32)
@@ -681,11 +888,11 @@ impl Transport for SockNet {
                 Ok(stream) => {
                     let conn_id = self.next_conn_id;
                     self.next_conn_id += 1;
+                    let from_epoch = self.endpoints[from_idx].epoch;
                     let mut hello = [0u8; HELLO_LEN];
                     hello[0..4].copy_from_slice(&from.raw().to_le_bytes());
                     hello[4..12].copy_from_slice(&conn_id.to_le_bytes());
-                    hello[12..20]
-                        .copy_from_slice(&self.endpoints[from_idx].epoch.to_le_bytes());
+                    hello[12..20].copy_from_slice(&from_epoch.to_le_bytes());
                     let mut conn = OutConn {
                         to: to.raw(),
                         peer_epoch,
@@ -703,6 +910,17 @@ impl Transport for SockNet {
                     };
                     conn.append(&hello, false);
                     self.endpoints[from_idx].out.push(conn);
+                    self.endpoints[to_idx].unaccepted += 1;
+                    self.links.insert(
+                        conn_id,
+                        Link {
+                            dialer: (from.raw(), from_epoch),
+                            acceptor: (to.raw(), peer_epoch),
+                            flushed: 0,
+                            dialer_closed: false,
+                            acceptor_closed: false,
+                        },
+                    );
                 }
                 Err(_) => {
                     // The listener vanished under us: same observable as
@@ -720,7 +938,7 @@ impl Transport for SockNet {
         let len = (payload.len() as u32).to_le_bytes();
         conn.append(&len, false);
         conn.append(&payload, true);
-        conn.flush();
+        conn.flush(&mut self.links);
     }
 
     fn drain_into(&mut self, at: Addr, out: &mut Vec<NetEvent>) {
@@ -775,9 +993,9 @@ impl Transport for SockNet {
 
     /// Closes the endpoint's listener and every one of its sockets; the
     /// kernel delivers the crash observable (EOF) to peers, read by
-    /// their next [`Transport::step`]. Frames that died unread in
-    /// kernel buffers are dead-lettered here, keeping the conservation
-    /// identity exact.
+    /// their next [`Transport::step`], which the ledger points at the
+    /// closed connections. Frames that died unread in kernel buffers
+    /// are dead-lettered here, keeping the conservation identity exact.
     fn crash(&mut self, addr: Addr) {
         let idx = addr.raw() as usize;
         if self.endpoints[idx].crashed {
@@ -821,6 +1039,14 @@ impl Transport for SockNet {
         ep.target = None;
         ep.out.clear(); // drop closes; peers read EOF
         ep.inc.clear();
+        ep.unaccepted = 0;
+        // Every half this endpoint held — accepted, still in the
+        // listener's backlog, or dialed — is closed now.
+        self.links.retain(|_, l| {
+            l.dialer_closed |= l.dialer.0 == addr.raw();
+            l.acceptor_closed |= l.acceptor.0 == addr.raw();
+            !(l.dialer_closed && l.acceptor_closed)
+        });
     }
 
     /// Rebinds a fresh listener under a bumped epoch: peers' stale
@@ -839,6 +1065,7 @@ impl Transport for SockNet {
         ep.inbox.clear();
         ep.listener = Some(listener);
         ep.target = Some(target);
+        self.forget_sessions(addr.raw());
     }
 
     fn note_malformed(&mut self) {
@@ -872,6 +1099,71 @@ mod tests {
         #[cfg(unix)]
         v.push(SockNet::uds());
         v
+    }
+
+    fn calls() -> SockCalls {
+        CALLS.with(std::cell::Cell::get)
+    }
+
+    /// Looks at every socket the ledger calls idle — listeners with no
+    /// pending dial, parsed accepted connections whose dialer's flushed
+    /// bytes are all read and whose dialer is open, outgoing connections
+    /// with nothing queued whose accepting half is open — and returns
+    /// one line per thing the kernel holds on any of them. Also returns
+    /// a line per connection missing from the ledger and per ledger
+    /// entry no live connection or pending dial accounts for.
+    fn audit_idle(net: &mut SockNet) -> Vec<String> {
+        // A close travels through loopback asynchronously; give a missed
+        // EOF time to land so the audit can see it.
+        std::thread::sleep(Duration::from_millis(2));
+        let SockNet {
+            endpoints, links, ..
+        } = net;
+        let mut found = Vec::new();
+        let mut buf = [0u8; 64];
+        let mut held: HashSet<u64> = HashSet::new();
+        for (i, ep) in endpoints.iter_mut().enumerate() {
+            if let (Some(listener), 0) = (&ep.listener, ep.unaccepted) {
+                if let Ok(stream) = listener.accept() {
+                    found.push(format!("endpoint {i}: unrecorded dial {stream:?}"));
+                }
+            }
+            for c in &mut ep.out {
+                held.insert(c.conn_id);
+                let Some(link) = links.get(&c.conn_id) else {
+                    found.push(format!("endpoint {i}: conn {} not in the ledger", c.conn_id));
+                    continue;
+                };
+                if c.wpos == c.wbuf.len() && !link.acceptor_closed {
+                    match c.stream.read(&mut buf) {
+                        Err(e) if e.kind() == ErrorKind::WouldBlock => {}
+                        r => found.push(format!("endpoint {i}: idle out conn {}: {r:?}", c.conn_id)),
+                    }
+                }
+            }
+            for c in &mut ep.inc {
+                if c.peer.is_none() {
+                    continue;
+                }
+                held.insert(c.conn_id);
+                if !links.contains_key(&c.conn_id) {
+                    found.push(format!("endpoint {i}: in conn {} not in the ledger", c.conn_id));
+                } else if !c.readable(links) {
+                    match c.stream.read(&mut buf) {
+                        Err(e) if e.kind() == ErrorKind::WouldBlock => {}
+                        r => found.push(format!("endpoint {i}: idle in conn {}: {r:?}", c.conn_id)),
+                    }
+                }
+            }
+        }
+        let pending: u32 = endpoints.iter().map(|ep| ep.unaccepted).sum();
+        let orphans = links.keys().filter(|id| !held.contains(id)).count();
+        if orphans > pending as usize {
+            found.push(format!(
+                "{orphans} ledger entries held by no connection, {pending} dials pending"
+            ));
+        }
+        found
     }
 
     #[test]
@@ -1047,5 +1339,154 @@ mod tests {
         net.drain_into(hub, &mut out);
         assert_eq!(out.len(), 200);
         assert_eq!(net.stats().delivered, 200);
+    }
+
+    /// Drives a seeded random script — sends, broadcasts, a burst of
+    /// more than `ACCEPTS_EVERY` dials, crashes and restarts across
+    /// epochs, one oversized frame — and audits the ledger after every
+    /// settle: nothing it called idle may hold bytes, an EOF or a dial.
+    fn audit_random_script(mut net: SockNet, seed: u64) {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+
+        let kind = net.kind();
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let core: Vec<Addr> = (0..6).map(|i| net.register(&format!("e{i}"))).collect();
+        let swarm: Vec<Addr> = (0..ACCEPTS_EVERY + 6)
+            .map(|i| net.register(&format!("s{i}")))
+            .collect();
+        let mut oversized_at = None;
+        for round in 0..80 {
+            let live: Vec<Addr> = core.iter().copied().filter(|&a| !net.is_crashed(a)).collect();
+            let pick = |rng: &mut SmallRng, from: &[Addr]| from[rng.gen_range(0..from.len())];
+            match rng.gen_range(0..10u32) {
+                0..=3 if live.len() >= 2 => {
+                    let from = pick(&mut rng, &live);
+                    let to = pick(&mut rng, &core);
+                    if from != to {
+                        let len = rng.gen_range(0..3000usize);
+                        net.send(from, to, Bytes::from(vec![round as u8; len]));
+                    }
+                }
+                4 | 5 if !live.is_empty() => {
+                    let from = pick(&mut rng, &live);
+                    net.broadcast(from, &core, Bytes::from(vec![7u8; rng.gen_range(1..200usize)]));
+                }
+                6 if live.len() > 2 => net.crash(pick(&mut rng, &live)),
+                7 => {
+                    let down: Vec<Addr> =
+                        core.iter().copied().filter(|&a| net.is_crashed(a)).collect();
+                    if !down.is_empty() {
+                        net.restart(pick(&mut rng, &down));
+                    }
+                }
+                8 => {
+                    // Every swarm endpoint dials one core endpoint, with
+                    // no reactor pass in between; sometimes the target
+                    // crashes with dials still in its listener's backlog.
+                    let to = pick(&mut rng, &core);
+                    for &s in &swarm {
+                        net.send(s, to, Bytes::from_static(b"burst"));
+                    }
+                    if live.len() > 2 && rng.gen_bool(0.5) {
+                        net.crash(to);
+                    }
+                }
+                9 if oversized_at.is_none() && round >= 40 && live.len() >= 2 => {
+                    net.send(live[0], live[1], Bytes::from(vec![0u8; MAX_FRAME + 1]));
+                    oversized_at = Some(round);
+                }
+                _ => {}
+            }
+            settle(&mut net);
+            let found = audit_idle(&mut net);
+            assert!(found.is_empty(), "{kind:?} round {round}: {found:#?}");
+            if oversized_at.is_none() {
+                assert_eq!(net.outstanding(), 0, "{kind:?} round {round}: {:?}", net.stats());
+            }
+            for &a in core.iter().chain(&swarm) {
+                let _ = net.drain_closure_count(a);
+            }
+        }
+        assert!(oversized_at.is_some(), "{kind:?}: the script must send the oversized frame");
+    }
+
+    #[test]
+    fn ledger_is_exact_under_a_random_script_tcp() {
+        audit_random_script(SockNet::tcp(), 0x1ED6_E700);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn ledger_is_exact_under_a_random_script_uds() {
+        audit_random_script(SockNet::uds(), 0x1ED6_E701);
+    }
+
+    #[test]
+    fn idle_connections_cost_no_socket_calls() {
+        for mut net in backends() {
+            let eps: Vec<Addr> = (0..6).map(|i| net.register(&format!("e{i}"))).collect();
+            for &a in &eps {
+                for &b in &eps {
+                    if a != b {
+                        net.send(a, b, Bytes::from_static(b"establish"));
+                    }
+                }
+            }
+            settle(&mut net);
+            let conns: usize = net.endpoints.iter().map(|ep| ep.out.len() + ep.inc.len()).sum();
+            assert!(conns >= 60, "{:?}: {conns} sockets", net.kind());
+            let before = calls();
+            assert!(!Transport::step(&mut net));
+            assert_eq!(calls(), before, "{:?}: an idle step touched a socket", net.kind());
+
+            // One frame on an established connection: one write, at most
+            // one read, and no read that finds nothing.
+            let before = calls();
+            net.send(eps[0], eps[1], Bytes::from_static(b"one frame"));
+            settle(&mut net);
+            let spent = calls();
+            assert_eq!(spent.writes - before.writes, 1, "{:?}", net.kind());
+            assert!(spent.reads - before.reads <= 1, "{:?}: {spent:?}", net.kind());
+            assert_eq!(spent.accepts, before.accepts, "{:?}", net.kind());
+            assert_eq!(spent.would_block, before.would_block, "{:?}", net.kind());
+            assert_eq!(net.stats().delivered, 31);
+        }
+    }
+
+    #[test]
+    fn ledger_and_closures_stay_bounded_across_crash_restart_cycles() {
+        for mut net in backends() {
+            let a = net.register("a");
+            let b = net.register("b");
+            let s = net.register("s");
+            net.send(a, b, Bytes::from_static(b"steady"));
+            for cycle in 0..1000u32 {
+                net.send(a, s, Bytes::from_static(b"to s"));
+                net.send(s, a, Bytes::from_static(b"from s"));
+                net.send(s, b, Bytes::from_static(b"from s"));
+                settle(&mut net);
+                net.crash(s);
+                settle(&mut net);
+                net.restart(s);
+                if cycle % 100 == 0 {
+                    assert!(audit_idle(&mut net).is_empty(), "{:?} cycle {cycle}", net.kind());
+                }
+            }
+            settle(&mut net);
+            // Left: a→b, plus nothing of s's 1000 dead epochs.
+            assert_eq!(net.links.len(), 1, "{:?}: {:?}", net.kind(), net.links);
+            for ep in &net.endpoints {
+                assert!(
+                    ep.closures_seen.len() <= 1,
+                    "{:?}: {} closures remembered",
+                    net.kind(),
+                    ep.closures_seen.len()
+                );
+            }
+            let st = net.stats();
+            assert_eq!(st.delivered + st.dropped + st.dead_lettered, st.sent, "{st:?}");
+            assert_eq!(st.closures, 2000, "{:?}: one closure per peer per epoch", net.kind());
+        }
     }
 }
