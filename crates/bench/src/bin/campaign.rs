@@ -64,6 +64,7 @@ use fortress_sim::scenario::{
     shard_sweep, CrossCheck, SweepCell, SweepOutcome, SweepReport, SweepScheduler, CELL_CHUNK,
 };
 use fortress_sim::clear_arena;
+use fortress_sim::stats::MetricId;
 use std::time::Instant;
 
 /// Adaptive per-cell budget: protocol trials are ms-scale, so spend them
@@ -90,6 +91,69 @@ const PUMP_REQUESTS: u64 = 1_500;
 /// with the arena cleared before every trial (every trial pays the
 /// fresh assembly).
 const ARENA_TRIALS: u64 = 200;
+
+/// A slice headline: its JSON key, how to read it off the cell-parallel
+/// report, and the decimals it prints with.
+type Headline = (&'static str, fn(&SweepReport) -> Option<f64>, usize);
+
+/// One axis slice of the default sweep's neighbourhood: its cells, the
+/// `BENCH_campaign.json` block it fills and the headlines it reports.
+struct Slice {
+    /// JSON block name.
+    block: &'static str,
+    /// The block's `workload` string.
+    workload: &'static str,
+    /// Prefix of the block's `*_cells_per_sec` key.
+    rate_prefix: &'static str,
+    /// Heading of the slice's printed table.
+    title: &'static str,
+    /// The slice's cells under a base seed.
+    cells: fn(u64) -> Vec<SweepCell>,
+    /// Headlines, in block order.
+    headlines: &'static [Headline],
+}
+
+#[rustfmt::skip]
+const SLICES: [Slice; 4] = [
+    Slice {
+        block: "availability",
+        workload: "outage slice: none/periodic/poisson x paced+outage_strike on S2 + bare-PB S1 baseline",
+        rate_prefix: "availability",
+        title: "availability slice (outage axis)",
+        cells: availability_sweep,
+        headlines: &[
+            ("mean_downtime_fraction", |r| r.cell_mean(MetricId::Downtime), 6),
+            ("mean_failover_latency", |r| r.cell_mean(MetricId::FailoverLatency), 4),
+        ],
+    },
+    Slice {
+        block: "faults",
+        workload: "fault slice: none/light-loss/heavy-loss x retry policy on S2 + bare-PB S1 baseline",
+        rate_prefix: "fault",
+        title: "fault slice (network-fault axis)",
+        cells: fault_sweep,
+        headlines: &[
+            ("mean_goodput_fraction", |r| r.cell_mean(MetricId::Goodput), 6),
+            ("mean_retries_per_request", |r| r.cell_mean(MetricId::Retries), 6),
+        ],
+    },
+    Slice {
+        block: "shards",
+        workload: "shard slice: vacuous + 3-group zipf1.2 concentrate/spread + concentrate reb@6 on S2",
+        rate_prefix: "shard",
+        title: "shard slice (multi-tenant fleet axis)",
+        cells: shard_sweep,
+        headlines: &[("hot_shard_lifetime_ratio", SweepReport::hot_shard_lifetime_ratio, 4)],
+    },
+    Slice {
+        block: "repairs",
+        workload: "repair slice: vacuous + 1-crash + 2-crash staggered/storm VSR recovery on S0",
+        rate_prefix: "repair",
+        title: "repair slice (VSR view-change + recovery axis)",
+        cells: repair_sweep,
+        headlines: &[("mean_view_change_latency", |r| r.cell_mean(MetricId::ViewChangeLatency), 4)],
+    },
+];
 
 /// Drives the fixed S2 pump workload and returns
 /// `(deliveries, wall_s)` — deliveries as counted by the transport, so
@@ -205,124 +269,48 @@ fn main() {
     println!("== cross-check: protocol cells vs abstract S2 kappa predictions ==");
     println!("{}", CrossCheck::of(&parallel).to_table().to_aligned());
 
-    // The availability slice: outage-bearing cells through the
-    // cell-at-a-time reference path (the same independent comparator
-    // the main sweep uses — a scheduler-internal bug that is
-    // thread-count-invariant would slip past a scheduler-vs-scheduler
-    // diff), the 1-thread scheduler, and the cell-parallel scheduler;
-    // three-way bit-identity required.
-    let avail_cells = availability_sweep(base_seed);
-    let avail_reference = run_cells_serially(&avail_cells, &Runner::with_threads(1));
-    let avail_serial =
-        SweepScheduler::new(&Runner::with_threads(1), BUDGET).run(&avail_cells);
-    let start = Instant::now();
-    let avail_parallel = SweepScheduler::new(&runner8, BUDGET).run(&avail_cells);
-    let avail_wall = start.elapsed().as_secs_f64();
-    let avail_deterministic = avail_serial.to_json() == avail_parallel.to_json()
-        && avail_reference.to_json() == avail_serial.to_json();
-    assert!(
-        avail_deterministic,
-        "availability sweep reports diverged between the cell-at-a-time \
-         reference, the serial scheduler and the cell-parallel scheduler — \
-         determinism contract broken"
-    );
-    let n_avail_cells = avail_cells.len();
-    let availability_cells_per_sec = n_avail_cells as f64 / avail_wall;
-    let mean_downtime = avail_parallel
-        .mean_downtime_fraction()
-        .expect("every availability cell measures downtime");
-    let mut latency = fortress_sim::stats::RunningStats::new();
-    for o in &avail_parallel.cells {
-        if o.avail.failover_latency.n() > 0 {
-            latency.push(o.avail.failover_latency.mean());
+    // The four axis slices, each through the cell-at-a-time reference
+    // path (the same independent comparator the main sweep uses — a
+    // scheduler-internal bug that is thread-count-invariant would slip
+    // past a scheduler-vs-scheduler diff), the 1-thread scheduler and the
+    // timed cell-parallel scheduler; three-way bit-identity required.
+    let mut slice_json = String::new();
+    for slice in &SLICES {
+        let slice_cells = (slice.cells)(base_seed);
+        let reference = run_cells_serially(&slice_cells, &Runner::with_threads(1));
+        let serial = SweepScheduler::new(&Runner::with_threads(1), BUDGET).run(&slice_cells);
+        let start = Instant::now();
+        let parallel = SweepScheduler::new(&runner8, BUDGET).run(&slice_cells);
+        let slice_wall = start.elapsed().as_secs_f64();
+        let slice_deterministic = serial.to_json() == parallel.to_json()
+            && reference.to_json() == serial.to_json();
+        assert!(
+            slice_deterministic,
+            "{} sweep reports diverged between the cell-at-a-time reference, \
+             the serial scheduler and the cell-parallel scheduler — determinism \
+             contract broken",
+            slice.block
+        );
+        println!("== {} ==", slice.title);
+        println!("{}", parallel.to_table().to_aligned());
+        let n = slice_cells.len();
+        slice_json.push_str(&format!(
+            "\"{}\": {{\n    \"workload\": \"{}\",\n    \"cells\": {n},\n    \
+             \"wall_s\": {slice_wall:.4},\n    \"{}_cells_per_sec\": {:.2},\n",
+            slice.block,
+            slice.workload,
+            slice.rate_prefix,
+            n as f64 / slice_wall,
+        ));
+        for &(key, headline, decimals) in slice.headlines {
+            let value = headline(&parallel)
+                .unwrap_or_else(|| panic!("the {} slice measured no {key}", slice.block));
+            slice_json.push_str(&format!("    \"{key}\": {value:.decimals$},\n"));
         }
+        slice_json.push_str(&format!(
+            "    \"deterministic_serial_vs_parallel\": {slice_deterministic}\n  }},\n  "
+        ));
     }
-    let mean_failover_latency = if latency.n() > 0 {
-        latency.mean().to_string()
-    } else {
-        "null".to_string()
-    };
-    println!("== availability slice (outage axis) ==");
-    println!("{}", avail_parallel.to_table().to_aligned());
-
-    // The fault slice: degraded-network cells through the same three
-    // paths, three-way bit-identity required.
-    let fault_cells = fault_sweep(base_seed);
-    let fault_reference = run_cells_serially(&fault_cells, &Runner::with_threads(1));
-    let fault_serial =
-        SweepScheduler::new(&Runner::with_threads(1), BUDGET).run(&fault_cells);
-    let start = Instant::now();
-    let fault_parallel = SweepScheduler::new(&runner8, BUDGET).run(&fault_cells);
-    let fault_wall = start.elapsed().as_secs_f64();
-    let fault_deterministic = fault_serial.to_json() == fault_parallel.to_json()
-        && fault_reference.to_json() == fault_serial.to_json();
-    assert!(
-        fault_deterministic,
-        "fault sweep reports diverged between the cell-at-a-time reference, \
-         the serial scheduler and the cell-parallel scheduler — determinism \
-         contract broken"
-    );
-    let n_fault_cells = fault_cells.len();
-    let fault_cells_per_sec = n_fault_cells as f64 / fault_wall;
-    let mean_goodput = fault_parallel
-        .mean_goodput_fraction()
-        .expect("degraded fault cells measure goodput");
-    let mean_retries = fault_parallel
-        .mean_retries_per_request()
-        .expect("degraded fault cells count retries");
-    println!("== fault slice (network-fault axis) ==");
-    println!("{}", fault_parallel.to_table().to_aligned());
-
-    // The shard slice: multi-tenant fleet cells through the same three
-    // paths, three-way bit-identity required.
-    let shard_cells = shard_sweep(base_seed);
-    let shard_reference = run_cells_serially(&shard_cells, &Runner::with_threads(1));
-    let shard_serial =
-        SweepScheduler::new(&Runner::with_threads(1), BUDGET).run(&shard_cells);
-    let start = Instant::now();
-    let shard_parallel = SweepScheduler::new(&runner8, BUDGET).run(&shard_cells);
-    let shard_wall = start.elapsed().as_secs_f64();
-    let shard_deterministic = shard_serial.to_json() == shard_parallel.to_json()
-        && shard_reference.to_json() == shard_serial.to_json();
-    assert!(
-        shard_deterministic,
-        "shard sweep reports diverged between the cell-at-a-time reference, \
-         the serial scheduler and the cell-parallel scheduler — determinism \
-         contract broken"
-    );
-    let n_shard_cells = shard_cells.len();
-    let shard_cells_per_sec = n_shard_cells as f64 / shard_wall;
-    let hot_shard_lifetime_ratio = shard_parallel
-        .hot_shard_lifetime_ratio()
-        .expect("the shard slice carries both placements");
-    println!("== shard slice (multi-tenant fleet axis) ==");
-    println!("{}", shard_parallel.to_table().to_aligned());
-
-    // The repair slice: VSR view-change + divergence-priced recovery
-    // cells through the same three paths, three-way bit-identity
-    // required.
-    let repair_cells = repair_sweep(base_seed);
-    let repair_reference = run_cells_serially(&repair_cells, &Runner::with_threads(1));
-    let repair_serial =
-        SweepScheduler::new(&Runner::with_threads(1), BUDGET).run(&repair_cells);
-    let start = Instant::now();
-    let repair_parallel = SweepScheduler::new(&runner8, BUDGET).run(&repair_cells);
-    let repair_wall = start.elapsed().as_secs_f64();
-    let repair_deterministic = repair_serial.to_json() == repair_parallel.to_json()
-        && repair_reference.to_json() == repair_serial.to_json();
-    assert!(
-        repair_deterministic,
-        "repair sweep reports diverged between the cell-at-a-time reference, \
-         the serial scheduler and the cell-parallel scheduler — determinism \
-         contract broken"
-    );
-    let n_repair_cells = repair_cells.len();
-    let repair_cells_per_sec = n_repair_cells as f64 / repair_wall;
-    let mean_view_change_latency = repair_parallel
-        .mean_view_change_latency()
-        .expect("repair-bearing cells complete view changes");
-    println!("== repair slice (VSR view-change + recovery axis) ==");
-    println!("{}", repair_parallel.to_table().to_aligned());
 
     // The protocol campaign grid through the arena-reusing trial path:
     // `CampaignGrid::run` schedules cells on the shared pool and every
@@ -389,36 +377,7 @@ fn main() {
          \"cells_per_sec_parallel\": {cells_per_sec_parallel:.2},\n  \
          \"cell_parallel_speedup\": {parallel_speedup:.3},\n  \
          \"deterministic_serial_vs_parallel\": {deterministic},\n  \
-         \"availability\": {{\n    \
-           \"workload\": \"outage slice: none/periodic/poisson x paced+outage_strike on S2 + bare-PB S1 baseline\",\n    \
-           \"cells\": {n_avail_cells},\n    \
-           \"wall_s\": {avail_wall:.4},\n    \
-           \"availability_cells_per_sec\": {availability_cells_per_sec:.2},\n    \
-           \"mean_downtime_fraction\": {mean_downtime:.6},\n    \
-           \"mean_failover_latency\": {mean_failover_latency},\n    \
-           \"deterministic_serial_vs_parallel\": {avail_deterministic}\n  }},\n  \
-         \"faults\": {{\n    \
-           \"workload\": \"fault slice: none/light-loss/heavy-loss x retry policy on S2 + bare-PB S1 baseline\",\n    \
-           \"cells\": {n_fault_cells},\n    \
-           \"wall_s\": {fault_wall:.4},\n    \
-           \"fault_cells_per_sec\": {fault_cells_per_sec:.2},\n    \
-           \"mean_goodput_fraction\": {mean_goodput:.6},\n    \
-           \"mean_retries_per_request\": {mean_retries:.6},\n    \
-           \"deterministic_serial_vs_parallel\": {fault_deterministic}\n  }},\n  \
-         \"shards\": {{\n    \
-           \"workload\": \"shard slice: vacuous + 3-group zipf1.2 concentrate/spread + concentrate reb@6 on S2\",\n    \
-           \"cells\": {n_shard_cells},\n    \
-           \"wall_s\": {shard_wall:.4},\n    \
-           \"shard_cells_per_sec\": {shard_cells_per_sec:.2},\n    \
-           \"hot_shard_lifetime_ratio\": {hot_shard_lifetime_ratio:.4},\n    \
-           \"deterministic_serial_vs_parallel\": {shard_deterministic}\n  }},\n  \
-         \"repairs\": {{\n    \
-           \"workload\": \"repair slice: vacuous + 1-crash + 2-crash staggered/storm VSR recovery on S0\",\n    \
-           \"cells\": {n_repair_cells},\n    \
-           \"wall_s\": {repair_wall:.4},\n    \
-           \"repair_cells_per_sec\": {repair_cells_per_sec:.2},\n    \
-           \"mean_view_change_latency\": {mean_view_change_latency:.4},\n    \
-           \"deterministic_serial_vs_parallel\": {repair_deterministic}\n  }},\n  \
+         {slice_json}\
          \"campaign\": {{\n    \
            \"workload\": \"paper_default grid: 3 suspicion x 3 fleet x 5 strategies, arena-reused trials\",\n    \
            \"cells\": {n_campaign_cells},\n    \

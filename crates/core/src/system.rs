@@ -904,7 +904,7 @@ impl<T: Transport> Stack<T> {
     }
 
     /// Sends raw bytes from `client` to an arbitrary address (the attacker
-    /// probing a proxy process, e.g. with [`ExploitPayload`] bytes).
+    /// probing a proxy process, e.g. with [`ExploitPayload`](fortress_obf::scheme::ExploitPayload) bytes).
     ///
     /// # Panics
     ///

@@ -4,7 +4,7 @@
 //! Three backends (plus the fault decorator) implement [`Transport`];
 //! the guarantees drive loops rely on — round-trip delivery, the
 //! crash/restart observable, caller-reported malformed counting, the
-//! [`NetStats`] conservation identity, and `drain_closure_count`
+//! [`NetStats`](crate::NetStats) conservation identity, and `drain_closure_count`
 //! matching the drain-and-filter default bit for bit — are checked
 //! here once, generically, instead of re-asserted ad hoc per backend.
 //!

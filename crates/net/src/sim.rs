@@ -474,25 +474,6 @@ impl SimNet {
         self.cuts.clear();
     }
 
-    /// Installs a single symmetric partition separating `side_a` from
-    /// `side_b`, active immediately and indefinitely. Replaces any
-    /// existing schedule.
-    #[deprecated(
-        since = "0.6.0",
-        note = "use `schedule_partition` — partitions are now a schedule of windowed, \
-                optionally one-way cuts"
-    )]
-    pub fn partition(&mut self, side_a: &[Addr], side_b: &[Addr]) {
-        self.cuts.clear();
-        self.schedule_partition(side_a, side_b, self.now, u64::MAX, false);
-    }
-
-    /// Removes the partition.
-    #[deprecated(since = "0.6.0", note = "use `clear_partitions`")]
-    pub fn heal(&mut self) {
-        self.clear_partitions();
-    }
-
     fn is_partitioned(&self, from: Addr, to: Addr) -> bool {
         self.cuts.iter().any(|c| c.severs(self.now, from, to))
     }
@@ -668,15 +649,15 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)] // the single-cut shim must stay green
     fn partition_drops_cross_traffic() {
         let (mut net, a, s) = two_nodes();
-        net.partition(&[a], &[s]);
+        let now = net.now();
+        net.schedule_partition(&[a], &[s], now, u64::MAX, false);
         net.send(a, s, b("x"));
         net.run_until_quiet();
         assert!(net.recv(s).is_none());
         assert_eq!(net.stats().dropped, 1);
-        net.heal();
+        net.clear_partitions();
         net.send(a, s, b("y"));
         net.run_until_quiet();
         assert!(net.recv(s).is_some());

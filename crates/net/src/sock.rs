@@ -960,7 +960,7 @@ impl Transport for SockNet {
     /// known to be in flight through the kernel but this pass moved
     /// nothing, the reactor re-polls on [`SockTiming::poll_interval`]
     /// until something lands, the kernel stays observably idle for
-    /// [`SETTLE_IDLE_POLLS`] consecutive passes, or
+    /// `SETTLE_IDLE_POLLS` consecutive passes, or
     /// [`SockTiming::settle_timeout`] expires — so `while net.step() {}`
     /// reaches real quiescence instead of racing the kernel's delivery
     /// latency, and a *stuck* frame (e.g. one whose connection died

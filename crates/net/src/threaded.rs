@@ -38,7 +38,7 @@ const PARK_TIMEOUT: Duration = Duration::from_millis(1);
 const PARK_CEILING: Duration = Duration::from_millis(16);
 
 /// The park-backoff schedule [`Transport::step`] uses when idle. The
-/// defaults ([`PARK_TIMEOUT`] / [`PARK_CEILING`]) suit interactive
+/// defaults (`PARK_TIMEOUT` / `PARK_CEILING`) suit interactive
 /// drive loops; wall-clock harnesses on CI boxes with coarse schedulers
 /// can widen both via [`ThreadNet::with_backoff`] instead of relying on
 /// compiled-in constants holding for every machine.
@@ -371,7 +371,7 @@ impl Transport for ThreadNet {
     /// spin-yielding through empty drains. The park length backs off
     /// exponentially with consecutive empty drains — [`ParkBackoff::base`]
     /// at first, doubling per idle step up to [`ParkBackoff::ceiling`]
-    /// (see [`ParkBackoff::wait`]) — and any arrival resets it, so a
+    /// (see `ParkBackoff::wait`) — and any arrival resets it, so a
     /// briefly idle
     /// loop stays responsive while a long-idle one stops waking
     /// 1000×/s. The first idle step never parks, so a pump loop's

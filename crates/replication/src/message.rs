@@ -446,22 +446,6 @@ pub enum SmrMsg {
         /// Digest of the ordered request.
         digest: Digest,
     },
-    /// A replica votes to depose the current leader (legacy vote-based
-    /// protocol; kept decodable for wire compatibility).
-    ViewChange {
-        /// Proposed new view.
-        new_view: u64,
-        /// Voter's last executed slot.
-        last_exec: u64,
-    },
-    /// The new leader announces its view (legacy counterpart of
-    /// [`SmrMsg::StartView`]; kept decodable for wire compatibility).
-    NewView {
-        /// The new view.
-        view: u64,
-        /// First slot the new leader will assign.
-        next_seq: u64,
-    },
     /// Rejoining replica asks for a snapshot.
     SnapshotRequest {
         /// The requester's last executed slot.
@@ -548,19 +532,6 @@ impl SmrMsg {
                 w.put_u64(*view).put_u64(*seq).put_bytes(&digest.0);
                 w.finish()
             }
-            SmrMsg::ViewChange {
-                new_view,
-                last_exec,
-            } => {
-                let mut w = family_writer_reusing(WireKind::Smr, 4, buf);
-                w.put_u64(*new_view).put_u64(*last_exec);
-                w.finish()
-            }
-            SmrMsg::NewView { view, next_seq } => {
-                let mut w = family_writer_reusing(WireKind::Smr, 5, buf);
-                w.put_u64(*view).put_u64(*next_seq);
-                w.finish()
-            }
             SmrMsg::SnapshotRequest { last_exec } => {
                 let mut w = family_writer_reusing(WireKind::Smr, 6, buf);
                 w.put_u64(*last_exec);
@@ -637,14 +608,6 @@ impl SmrMsg {
                 view: r.u64("smr.view")?,
                 seq: r.u64("smr.seq")?,
                 digest: read_digest(&mut r)?,
-            },
-            4 => SmrMsg::ViewChange {
-                new_view: r.u64("smr.new_view")?,
-                last_exec: r.u64("smr.last_exec")?,
-            },
-            5 => SmrMsg::NewView {
-                view: r.u64("smr.view")?,
-                next_seq: r.u64("smr.next_seq")?,
             },
             6 => SmrMsg::SnapshotRequest {
                 last_exec: r.u64("smr.last_exec")?,
@@ -740,8 +703,6 @@ mod tests {
         });
         roundtrip_smr(SmrMsg::Prepare { view: 1, seq: 2, digest: d });
         roundtrip_smr(SmrMsg::Commit { view: 1, seq: 2, digest: d });
-        roundtrip_smr(SmrMsg::ViewChange { new_view: 2, last_exec: 7 });
-        roundtrip_smr(SmrMsg::NewView { view: 2, next_seq: 8 });
         roundtrip_smr(SmrMsg::SnapshotRequest { last_exec: 3 });
         roundtrip_smr(SmrMsg::SnapshotOffer {
             seq: 7,
@@ -798,7 +759,7 @@ mod tests {
             PbMsg::decode(&bytes),
             Err(ReplicationError::Codec(CodecError::BadTag { .. }))
         ));
-        let mut bytes = SmrMsg::NewView { view: 0, next_seq: 0 }.encode();
+        let mut bytes = SmrMsg::StartViewChange { new_view: 0 }.encode();
         bytes[0] = 99;
         assert!(SmrMsg::decode(&bytes).is_err());
         // Variant sub-tag flipped.
@@ -808,9 +769,28 @@ mod tests {
             PbMsg::decode(&bytes),
             Err(ReplicationError::Codec(CodecError::BadTag { .. }))
         ));
-        let mut bytes = SmrMsg::NewView { view: 0, next_seq: 0 }.encode();
+        let mut bytes = SmrMsg::StartViewChange { new_view: 0 }.encode();
         bytes[1] = 99;
         assert!(SmrMsg::decode(&bytes).is_err());
+    }
+
+    /// Sub-tags 4 and 5 belonged to a retired vote-based view change
+    /// that nothing sent; they now decode as unknown variants, and the
+    /// sub-tags around them keep their meaning.
+    #[test]
+    fn retired_smr_subtags_are_rejected() {
+        for tag in [4, 5] {
+            // Shaped like a retired frame: the sub-tag and two u64s.
+            let mut bytes = SmrMsg::SnapshotRequest { last_exec: 0 }.encode();
+            bytes[1] = tag;
+            bytes.extend_from_slice(&0u64.to_le_bytes());
+            assert!(matches!(
+                SmrMsg::decode(&bytes),
+                Err(ReplicationError::Codec(CodecError::BadTag { tag: t, .. })) if t == tag
+            ));
+        }
+        assert_eq!(SmrMsg::SnapshotRequest { last_exec: 0 }.encode()[1], 6);
+        assert_eq!(SmrMsg::StartViewChange { new_view: 0 }.encode()[1], 8);
     }
 
     #[test]

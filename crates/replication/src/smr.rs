@@ -457,9 +457,6 @@ impl<S: Service> SmrReplica<S> {
             } => self.on_pre_prepare(from, view, seq, request_seq, client, op),
             SmrMsg::Prepare { view, seq, digest } => self.on_prepare(from, view, seq, digest),
             SmrMsg::Commit { view, seq, digest } => self.on_commit(from, view, seq, digest),
-            // Legacy vote-based view change: still decodable on the wire
-            // for compatibility, but inert — the VSR path below replaced it.
-            SmrMsg::ViewChange { .. } | SmrMsg::NewView { .. } => Vec::new(),
             SmrMsg::StartViewChange { new_view } => self.on_start_view_change(from, new_view),
             SmrMsg::DoViewChange {
                 new_view,

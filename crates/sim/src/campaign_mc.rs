@@ -32,21 +32,15 @@
 //!   grid layouts and incremental re-runs.
 
 use fortress_attack::campaign::StrategyKind;
-use fortress_core::client::RetryPolicy;
 use fortress_core::probelog::SuspicionPolicy;
-use fortress_core::system::{CompromiseState, Stack, SystemClass};
+use fortress_core::system::SystemClass;
 use fortress_model::params::Policy;
-use fortress_net::Transport;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
-use crate::faults::{FaultSpec, GoodputProbe};
-use crate::outage::{OutageDriver, RepairDriver};
 use crate::protocol_mc::ProtocolExperiment;
 use crate::report::{avail_json, fmt_avail, fmt_num, CsvTable};
 use crate::runner::{fold, trial_seed, Runner, TrialBudget};
 use crate::scenario::{Scenario, ScenarioSpec, SweepCell, SweepScheduler, TrialMeasure};
-use crate::stats::{AvailStats, Estimate};
+use crate::stats::{AvailStats, Estimate, Metric, MetricGroup, METRICS};
 
 /// One coordinate of the campaign grid.
 #[derive(Clone, Copy, PartialEq, Debug)]
@@ -241,19 +235,13 @@ impl CampaignGrid {
     }
 }
 
-/// One trial of one campaign cell: assemble the stack, instantiate the
-/// strategy, walk unit time-steps until the compromise condition holds.
-/// Returns the 1-based step of the fall, or `max_steps` if censored.
-pub fn run_cell_once(exp: &ProtocolExperiment, strategy: StrategyKind, seed: u64) -> u64 {
-    run_cell_measured(exp, strategy, seed).lifetime
-}
-
-/// [`run_cell_once`] with availability measurements attached: the same
-/// drive loop (the adversary's RNG stream is untouched — the outage
-/// driver draws from its own stream, and [`OutageSpec::None`](crate::outage::OutageSpec)
-/// draws nothing — so lifetimes are bit-identical to the pre-axis
-/// runs), plus the experiment's outage schedule injected at the top of
-/// each step and the stack's availability counters read out at the end.
+/// One trial of one campaign cell with availability measurements
+/// attached: assemble the stack, instantiate the strategy, walk unit
+/// time-steps until the compromise condition holds (the lifetime is the
+/// 1-based step of the fall, or `max_steps` if censored). The adversary's
+/// RNG stream is untouched by the outage driver, which draws from its
+/// own stream ([`OutageSpec::None`](crate::outage::OutageSpec) draws
+/// nothing), so lifetimes are bit-identical to the pre-axis runs.
 pub fn run_cell_measured(
     exp: &ProtocolExperiment,
     strategy: StrategyKind,
@@ -266,65 +254,7 @@ pub fn run_cell_measured(
     if !exp.shard.is_none() {
         return crate::fleet_mc::run_fleet_measured(exp, strategy, seed);
     }
-    // Fault dispatch: `None` runs the bare transport (byte-identical to
-    // the pre-axis path — no decorator, no probe, no extra RNG), drawn
-    // from the worker's trial arena so a cell's trials rewind one
-    // assembled stack instead of rebuilding; `Degraded` wraps the same
-    // assembly in the fault decorator and rides a goodput probe along.
-    match exp.fault {
-        FaultSpec::None => crate::arena::with_arena_stack(exp.stack_config(seed), |stack| {
-            run_cell_on(exp, strategy, seed, stack, None)
-        }),
-        FaultSpec::Degraded { plan, retry } => run_cell_on(
-            exp,
-            strategy,
-            seed,
-            &mut exp.build_faulty_stack(seed, plan),
-            Some(retry),
-        ),
-    }
-}
-
-/// The one campaign drive loop, generic over the transport: the cell's
-/// adversary strategy stepped against `stack`, the outage schedule
-/// applied at the top of each step, and — when `retry` is given — a
-/// [`GoodputProbe`] stepped after the adversary.
-fn run_cell_on<T: Transport>(
-    exp: &ProtocolExperiment,
-    strategy: StrategyKind,
-    seed: u64,
-    stack: &mut Stack<T>,
-    retry: Option<RetryPolicy>,
-) -> TrialMeasure {
-    let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9e3779b97f4a7c15));
-    let mut outage = OutageDriver::new(exp.outage, seed);
-    let mut repair = RepairDriver::new(exp.repair, "repair");
-    let mut adversary = strategy.build(
-        stack,
-        "attacker",
-        exp.scheme,
-        exp.omega,
-        exp.suspicion,
-        &mut rng,
-    );
-    let mut probe = retry.map(|policy| GoodputProbe::new(stack, "probe", policy));
-    for step in 1..=exp.max_steps {
-        outage.before_step(stack, step);
-        repair.before_step(stack, step);
-        adversary.step(stack, &mut rng);
-        if let Some(probe) = probe.as_mut() {
-            probe.step(stack, step);
-        }
-        if stack.end_step() != CompromiseState::Intact {
-            return TrialMeasure::of_protocol_trial(exp.max_steps, step, true, stack)
-                .with_degrade(probe.as_mut().map(GoodputProbe::finish));
-        }
-        if exp.policy == Policy::Proactive {
-            adversary.on_rerandomized(&mut rng);
-        }
-    }
-    TrialMeasure::of_protocol_trial(exp.max_steps, exp.max_steps, false, stack)
-        .with_degrade(probe.as_mut().map(GoodputProbe::finish))
+    crate::protocol_mc::run_single_stack(exp, Some(strategy), seed)
 }
 
 /// The measured outcome of one grid cell.
@@ -363,9 +293,10 @@ impl CampaignReport {
         self.cells.iter().find(|o| o.cell == *cell)
     }
 
-    /// Renders the report as a CSV table (one row per cell).
+    /// Renders the report as a CSV table (one row per cell), with one
+    /// column per [`MetricGroup::Avail`] row of [`METRICS`].
     pub fn to_table(&self) -> CsvTable {
-        let mut table = CsvTable::new(&[
+        let mut headers = vec![
             "window",
             "threshold",
             "np",
@@ -376,13 +307,11 @@ impl CampaignReport {
             "ci_high",
             "trials",
             "censored",
-            "downtime",
-            "failovers",
-            "failover_latency",
-            "lost_requests",
-        ]);
+        ];
+        headers.extend(avail_metrics().map(|m| m.csv));
+        let mut table = CsvTable::new(&headers);
         for o in &self.cells {
-            table.push_row(vec![
+            let mut row = vec![
                 o.cell.suspicion.window.to_string(),
                 o.cell.suspicion.threshold.to_string(),
                 o.cell.np.to_string(),
@@ -393,30 +322,25 @@ impl CampaignReport {
                 fmt_num(o.estimate.ci_high),
                 o.estimate.n.to_string(),
                 o.censored.to_string(),
-                fmt_avail(&o.avail.downtime),
-                fmt_avail(&o.avail.failovers),
-                fmt_avail(&o.avail.failover_latency),
-                fmt_avail(&o.avail.lost),
-            ]);
+            ];
+            row.extend(avail_metrics().map(|m| fmt_avail(&o.avail[m.id])));
+            table.push_row(row);
         }
         table
     }
 
     /// Renders the report as a JSON array (stable field order, grid
-    /// order) — the determinism comparator the `campaign` binary uses
-    /// and the payload of `BENCH_campaign.json`'s `cells` field.
+    /// order, the [`MetricGroup::Avail`] metrics at full precision) —
+    /// the determinism comparator the bench binaries diff.
     pub fn to_json(&self) -> String {
         let mut out = String::from("[");
         for (i, o) in self.cells.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            let downtime = avail_json(&o.avail.downtime);
-            let latency = avail_json(&o.avail.failover_latency);
             out.push_str(&format!(
                 "{{\"window\":{},\"threshold\":{},\"np\":{},\"strategy\":\"{}\",\
-                 \"kappa\":{},\"mean\":{},\"n\":{},\"downtime\":{downtime},\
-                 \"failover_latency\":{latency}}}",
+                 \"kappa\":{},\"mean\":{},\"n\":{}",
                 o.cell.suspicion.window,
                 o.cell.suspicion.threshold,
                 o.cell.np,
@@ -425,10 +349,20 @@ impl CampaignReport {
                 o.estimate.mean,
                 o.estimate.n,
             ));
+            for m in avail_metrics() {
+                out.push_str(&format!(",\"{}\":{}", m.json, avail_json(&o.avail[m.id])));
+            }
+            out.push('}');
         }
         out.push(']');
         out
     }
+}
+
+/// The [`MetricGroup::Avail`] rows of [`METRICS`] — the campaign report's
+/// availability columns.
+fn avail_metrics() -> impl Iterator<Item = &'static Metric> {
+    METRICS.iter().filter(|m| m.group == MetricGroup::Avail)
 }
 
 #[cfg(test)]

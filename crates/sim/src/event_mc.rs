@@ -23,7 +23,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 /// A geometric hazard with its log-survival denominator precomputed —
-/// the table-driven form of [`sample_geometric`].
+/// the table-driven form of `sample_geometric`.
 ///
 /// The denominator is `ln(1−p)` computed as `(−p).ln_1p()`: for the tiny
 /// `p` of the small-α corner (`p ≈ 10⁻⁹` and below), `(1.0 - p).ln()`
@@ -64,7 +64,7 @@ impl HazardTable {
     }
 
     /// Samples one geometric step count (1-based) by inversion —
-    /// bit-identical to [`sample_geometric`]`(self.p(), rng)`.
+    /// bit-identical to `sample_geometric(self.p(), rng)`.
     #[inline]
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
         if self.p >= 1.0 {

@@ -8,6 +8,7 @@
 //! the abstract models (experiment `PROTO` in DESIGN.md).
 
 use fortress_attack::attacker::DirectAttacker;
+use fortress_attack::campaign::{AdversaryStrategy, StrategyKind};
 use fortress_core::client::RetryPolicy;
 use fortress_core::probelog::SuspicionPolicy;
 use fortress_core::system::{CompromiseState, Stack, StackConfig, SystemClass};
@@ -163,64 +164,11 @@ impl ProtocolExperiment {
         if self.class == SystemClass::S2Fortress {
             return crate::campaign_mc::run_cell_measured(
                 self,
-                fortress_attack::campaign::StrategyKind::PacedBelowThreshold,
+                StrategyKind::PacedBelowThreshold,
                 seed,
             );
         }
-        // Fault dispatch: `None` runs the bare transport (byte-identical
-        // to the pre-axis path — no decorator, no probe, no extra RNG),
-        // drawn from the worker's trial arena; `Degraded` wraps the same
-        // assembly in the fault decorator and rides a goodput probe
-        // along.
-        match self.fault {
-            FaultSpec::None => crate::arena::with_arena_stack(self.stack_config(seed), |stack| {
-                self.run_direct_on(seed, stack, None)
-            }),
-            FaultSpec::Degraded { plan, retry } => {
-                self.run_direct_on(seed, &mut self.build_faulty_stack(seed, plan), Some(retry))
-            }
-        }
-    }
-
-    /// The one 1-tier drive loop, generic over the transport: the
-    /// baseline attacker stepped against `stack`, the outage schedule
-    /// applied at the top of each step, and — when `retry` is given — a
-    /// [`GoodputProbe`] stepped after the adversary.
-    fn run_direct_on<T: Transport>(
-        &self,
-        seed: u64,
-        stack: &mut Stack<T>,
-        retry: Option<RetryPolicy>,
-    ) -> TrialMeasure {
-        let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9e3779b97f4a7c15));
-        let mut outage = OutageDriver::new(self.outage, seed);
-        let mut repair = RepairDriver::new(self.repair, "repair");
-        let mut attacker = DirectAttacker::new(
-            stack,
-            "attacker",
-            self.scheme,
-            self.omega,
-            &mut rng,
-        );
-        let mut probe = retry.map(|policy| GoodputProbe::new(stack, "probe", policy));
-        for step in 1..=self.max_steps {
-            outage.before_step(stack, step);
-            repair.before_step(stack, step);
-            attacker.step(stack, &mut rng);
-            if let Some(probe) = probe.as_mut() {
-                probe.step(stack, step);
-            }
-            let state = stack.end_step();
-            if state != CompromiseState::Intact {
-                return TrialMeasure::of_protocol_trial(self.max_steps, step, true, stack)
-                    .with_degrade(probe.as_mut().map(GoodputProbe::finish));
-            }
-            if self.policy == Policy::Proactive {
-                attacker.on_rerandomized(&mut rng);
-            }
-        }
-        TrialMeasure::of_protocol_trial(self.max_steps, self.max_steps, false, stack)
-            .with_degrade(probe.as_mut().map(GoodputProbe::finish))
+        run_single_stack(self, None, seed)
     }
 
     /// Runs `trials` independent trials through the parallel runner and
@@ -247,6 +195,95 @@ impl ProtocolExperiment {
         )
         .estimate()
     }
+}
+
+/// The adversary a single-stack trial runs: a campaign strategy, or the
+/// baseline direct attacker of the 1-tier classes.
+enum Adversary<T: Transport> {
+    Strategy(Box<dyn AdversaryStrategy<T>>),
+    Direct(DirectAttacker),
+}
+
+/// One single-stack trial of `exp` against `strategy` (`None`: the
+/// baseline direct attacker). Fault dispatch: [`FaultSpec::None`] runs
+/// the bare transport (byte-identical to the pre-axis path — no
+/// decorator, no probe, no extra RNG), drawn from the worker's trial
+/// arena so a cell's trials rewind one assembled stack instead of
+/// rebuilding; `Degraded` wraps the same assembly in the fault decorator
+/// and rides a goodput probe along.
+pub(crate) fn run_single_stack(
+    exp: &ProtocolExperiment,
+    strategy: Option<StrategyKind>,
+    seed: u64,
+) -> TrialMeasure {
+    match exp.fault {
+        FaultSpec::None => crate::arena::with_arena_stack(exp.stack_config(seed), |stack| {
+            drive(exp, strategy, seed, stack, None)
+        }),
+        FaultSpec::Degraded { plan, retry } => drive(
+            exp,
+            strategy,
+            seed,
+            &mut exp.build_faulty_stack(seed, plan),
+            Some(retry),
+        ),
+    }
+}
+
+/// The one single-stack drive loop, generic over the transport: the
+/// outage and repair schedules applied at the top of each step, one
+/// adversary step, then — when `retry` is given — a [`GoodputProbe`]
+/// step, end-of-step maintenance and, under PO, the adversary's
+/// re-randomization notice. RNG draw order: outage driver, repair
+/// driver, adversary, probe.
+fn drive<T: Transport>(
+    exp: &ProtocolExperiment,
+    strategy: Option<StrategyKind>,
+    seed: u64,
+    stack: &mut Stack<T>,
+    retry: Option<RetryPolicy>,
+) -> TrialMeasure {
+    let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9e3779b97f4a7c15));
+    let mut outage = OutageDriver::new(exp.outage, seed);
+    let mut repair = RepairDriver::new(exp.repair, "repair");
+    let mut adversary = match strategy {
+        Some(kind) => Adversary::Strategy(kind.build(
+            stack,
+            "attacker",
+            exp.scheme,
+            exp.omega,
+            exp.suspicion,
+            &mut rng,
+        )),
+        None => Adversary::Direct(DirectAttacker::new(
+            stack, "attacker", exp.scheme, exp.omega, &mut rng,
+        )),
+    };
+    let mut probe = retry.map(|policy| GoodputProbe::new(stack, "probe", policy));
+    let (mut fell, mut compromised) = (exp.max_steps, false);
+    for step in 1..=exp.max_steps {
+        outage.before_step(stack, step);
+        repair.before_step(stack, step);
+        match &mut adversary {
+            Adversary::Strategy(a) => a.step(stack, &mut rng),
+            Adversary::Direct(a) => a.step(stack, &mut rng),
+        }
+        if let Some(probe) = probe.as_mut() {
+            probe.step(stack, step);
+        }
+        if stack.end_step() != CompromiseState::Intact {
+            (fell, compromised) = (step, true);
+            break;
+        }
+        if exp.policy == Policy::Proactive {
+            match &mut adversary {
+                Adversary::Strategy(a) => a.on_rerandomized(&mut rng),
+                Adversary::Direct(a) => a.on_rerandomized(&mut rng),
+            }
+        }
+    }
+    TrialMeasure::of_protocol_trial(exp.max_steps, fell, compromised, stack)
+        .with_degrade(probe.as_mut().map(GoodputProbe::finish))
 }
 
 #[cfg(test)]

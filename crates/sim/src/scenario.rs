@@ -97,6 +97,7 @@ use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
 
 use fortress_attack::campaign::StrategyKind;
+use fortress_attack::shard::ShardPlacement;
 use fortress_core::client::RetryPolicy;
 use fortress_core::probelog::SuspicionPolicy;
 use fortress_core::system::SystemClass;
@@ -120,7 +121,9 @@ use crate::runner::{
     fold, trial_seed, ChunkResult, Runner, RunnerError, Sample, SampleStats, TrialBudget, TrialFn,
     POOLED_PANIC_MSG,
 };
-use crate::stats::{AvailPoint, AvailStats, Estimate, RunningStats};
+use crate::stats::{
+    AvailPoint, AvailStats, Estimate, Metric, MetricGroup, MetricId, RunningStats, METRICS,
+};
 
 /// Trials per work unit for sweep cells. Protocol trials are ms-scale,
 /// so small chunks keep the pool busy even at adaptive-budget batch
@@ -198,15 +201,6 @@ impl TrialMeasure {
     pub fn with_degrade(mut self, degrade: Option<crate::stats::DegradePoint>) -> TrialMeasure {
         if let Some(avail) = self.avail.as_mut() {
             avail.degrade = degrade;
-        }
-        self
-    }
-
-    /// Attaches a shard point (fleet-level observables of a sharded
-    /// trial) to the availability measurement, if one exists.
-    pub fn with_shard(mut self, shard: Option<crate::stats::ShardPoint>) -> TrialMeasure {
-        if let Some(avail) = self.avail.as_mut() {
-            avail.shard = shard;
         }
         self
     }
@@ -847,19 +841,19 @@ pub fn shard_sweep(base_seed: u64) -> Vec<SweepCell> {
         ShardSpec::Sharded {
             shards: 3,
             zipf_s: 1.2,
-            placement: fortress_attack::shard::ShardPlacement::Concentrate,
+            placement: ShardPlacement::Concentrate,
             rebalance_at: 0,
         },
         ShardSpec::Sharded {
             shards: 3,
             zipf_s: 1.2,
-            placement: fortress_attack::shard::ShardPlacement::Spread,
+            placement: ShardPlacement::Spread,
             rebalance_at: 0,
         },
         ShardSpec::Sharded {
             shards: 3,
             zipf_s: 1.2,
-            placement: fortress_attack::shard::ShardPlacement::Concentrate,
+            placement: ShardPlacement::Concentrate,
             rebalance_at: 6,
         },
     ];
@@ -960,16 +954,11 @@ pub struct SweepOutcome {
 }
 
 impl SweepOutcome {
-    /// The outcome of `cell` given its merged trial statistics — the
-    /// single definition of the derived fields (estimate, κ, censoring),
-    /// shared by the scheduler and every cell-at-a-time driver so their
-    /// reports cannot diverge in anything but scheduling.
-    pub fn of(cell: &SweepCell, stats: RunningStats) -> SweepOutcome {
-        SweepOutcome::measured(cell, stats, AvailStats::new())
-    }
-
-    /// [`SweepOutcome::of`] with the cell's merged availability
-    /// statistics attached.
+    /// The outcome of `cell` given its merged lifetime and availability
+    /// statistics — the single definition of the derived fields
+    /// (estimate, κ, censoring), shared by the scheduler and every
+    /// cell-at-a-time driver so their reports cannot diverge in anything
+    /// but scheduling.
     pub fn measured(cell: &SweepCell, stats: RunningStats, avail: AvailStats) -> SweepOutcome {
         let censored = cell
             .spec
@@ -994,20 +983,19 @@ pub struct SweepReport {
 }
 
 impl SweepReport {
-    /// Renders the report as a CSV table (one row per cell), the
-    /// availability columns included (`-` where a cell's scenario has no
-    /// availability dimension). The degradation columns (goodput,
-    /// retries, duplicate suppression, give-ups) appear only when some
-    /// cell ran under a fault plan, and the shard columns (hottest-shard
-    /// lifetime/load, moved requests, fallen groups) only when some cell
-    /// ran sharded, and the repair columns (view changes and their
-    /// latency, transfer units, storm queue depth) only when some cell
-    /// armed the SMR repair accounting — sweeps without those axes keep
-    /// the exact pre-axis column set, which the golden files pin.
+    /// Renders the report as a CSV table (one row per cell), one column
+    /// per [`METRICS`] row in table order (`-` where a cell measured
+    /// nothing). The [`MetricGroup::Avail`] columns always appear; every
+    /// other group's columns appear only when some cell sampled that
+    /// group — sweeps without the fault, shard or repair axes keep the
+    /// exact pre-axis column set, which the golden files pin.
     pub fn to_table(&self) -> CsvTable {
-        let degraded = self.cells.iter().any(|o| o.avail.goodput.n() > 0);
-        let sharded = self.cells.iter().any(|o| o.avail.hot_lifetime.n() > 0);
-        let repaired = self.cells.iter().any(|o| o.avail.view_changes.n() > 0);
+        let shown: Vec<&Metric> = METRICS
+            .iter()
+            .filter(|m| {
+                m.group == MetricGroup::Avail || self.cells.iter().any(|o| o.avail.sampled(m.group))
+            })
+            .collect();
         let mut headers = vec![
             "cell",
             "kappa",
@@ -1016,25 +1004,8 @@ impl SweepReport {
             "ci_high",
             "trials",
             "censored",
-            "downtime",
-            "failovers",
-            "failover_latency",
-            "lost_requests",
         ];
-        if degraded {
-            headers.extend(["goodput", "retries_per_req", "dup_suppressed", "gave_up"]);
-        }
-        if sharded {
-            headers.extend(["hot_lifetime", "hot_load", "moved_requests", "groups_fallen"]);
-        }
-        if repaired {
-            headers.extend([
-                "view_changes",
-                "view_change_latency",
-                "transfer_units",
-                "storm_queue_depth",
-            ]);
-        }
+        headers.extend(shown.iter().map(|m| m.csv));
         let mut table = CsvTable::new(&headers);
         for o in &self.cells {
             let mut row = vec![
@@ -1045,44 +1016,18 @@ impl SweepReport {
                 fmt_num(o.estimate.ci_high),
                 o.estimate.n.to_string(),
                 o.censored.to_string(),
-                fmt_avail(&o.avail.downtime),
-                fmt_avail(&o.avail.failovers),
-                fmt_avail(&o.avail.failover_latency),
-                fmt_avail(&o.avail.lost),
             ];
-            if degraded {
-                row.extend([
-                    fmt_avail(&o.avail.goodput),
-                    fmt_avail(&o.avail.retries),
-                    fmt_avail(&o.avail.dup_suppressed),
-                    fmt_avail(&o.avail.gave_up),
-                ]);
-            }
-            if sharded {
-                row.extend([
-                    fmt_avail(&o.avail.hot_lifetime),
-                    fmt_avail(&o.avail.hot_load),
-                    fmt_avail(&o.avail.moved),
-                    fmt_avail(&o.avail.groups_fallen),
-                ]);
-            }
-            if repaired {
-                row.extend([
-                    fmt_avail(&o.avail.view_changes),
-                    fmt_avail(&o.avail.view_change_latency),
-                    fmt_avail(&o.avail.transfer_units),
-                    fmt_avail(&o.avail.storm_queue),
-                ]);
-            }
+            row.extend(shown.iter().map(|m| fmt_avail(&o.avail[m.id])));
             table.push_row(row);
         }
         table
     }
 
     /// Renders the report as a JSON array (stable field order, input
-    /// order) — the determinism comparator the bench binaries diff. The
-    /// availability means are full-precision so serial/parallel drift in
-    /// any metric fails the comparison, not just the lifetimes.
+    /// order, every [`METRICS`] row in table order) — the determinism
+    /// comparator the bench binaries diff. The metric means are
+    /// full-precision so serial/parallel drift in any metric fails the
+    /// comparison, not just the lifetimes.
     pub fn to_json(&self) -> String {
         let mut out = String::from("[");
         for (i, o) in self.cells.iter().enumerate() {
@@ -1094,114 +1039,60 @@ impl SweepReport {
                 .map(|k| k.to_string())
                 .unwrap_or_else(|| "null".to_string());
             out.push_str(&format!(
-                "{{\"cell\":\"{}\",\"kappa\":{},\"mean\":{},\"n\":{},\"censored\":{},\
-                 \"downtime\":{},\"failovers\":{},\"failover_latency\":{},\
-                 \"lost_requests\":{},\"goodput\":{},\"retries\":{},\
-                 \"dup_suppressed\":{},\"gave_up\":{},\"hot_lifetime\":{},\
-                 \"hot_load\":{},\"moved_requests\":{},\"groups_fallen\":{},\
-                 \"view_changes\":{},\"view_change_latency\":{},\
-                 \"transfer_units\":{},\"storm_queue_depth\":{}}}",
-                o.cell.label,
-                kappa,
-                o.estimate.mean,
-                o.estimate.n,
-                o.censored,
-                avail_json(&o.avail.downtime),
-                avail_json(&o.avail.failovers),
-                avail_json(&o.avail.failover_latency),
-                avail_json(&o.avail.lost),
-                avail_json(&o.avail.goodput),
-                avail_json(&o.avail.retries),
-                avail_json(&o.avail.dup_suppressed),
-                avail_json(&o.avail.gave_up),
-                avail_json(&o.avail.hot_lifetime),
-                avail_json(&o.avail.hot_load),
-                avail_json(&o.avail.moved),
-                avail_json(&o.avail.groups_fallen),
-                avail_json(&o.avail.view_changes),
-                avail_json(&o.avail.view_change_latency),
-                avail_json(&o.avail.transfer_units),
-                avail_json(&o.avail.storm_queue),
+                "{{\"cell\":\"{}\",\"kappa\":{},\"mean\":{},\"n\":{},\"censored\":{}",
+                o.cell.label, kappa, o.estimate.mean, o.estimate.n, o.censored,
             ));
+            for m in METRICS {
+                out.push_str(&format!(",\"{}\":{}", m.json, avail_json(&o.avail[m.id])));
+            }
+            out.push('}');
         }
         out.push(']');
         out
     }
 
-    /// Mean downtime fraction across every cell that measured one
-    /// (`None` when no cell did) — the sweep-level availability headline
-    /// the campaign bench emits.
-    pub fn mean_downtime_fraction(&self) -> Option<f64> {
+    /// Mean of `metric` across every cell that measured it (`None` when
+    /// no cell did) — the sweep-level headlines the campaign bench
+    /// emits, e.g. [`MetricId::Downtime`] for the availability slice or
+    /// [`MetricId::ViewChangeLatency`] for the repair slice.
+    pub fn cell_mean(&self, metric: MetricId) -> Option<f64> {
         let mut acc = RunningStats::new();
         for o in &self.cells {
-            if o.avail.downtime.n() > 0 {
-                acc.push(o.avail.downtime.mean());
-            }
-        }
-        (acc.n() > 0).then(|| acc.mean())
-    }
-
-    /// Mean goodput fraction across every cell that probed one (`None`
-    /// when no cell ran under a fault plan) — the sweep-level
-    /// degradation headline the campaign bench emits.
-    pub fn mean_goodput_fraction(&self) -> Option<f64> {
-        let mut acc = RunningStats::new();
-        for o in &self.cells {
-            if o.avail.goodput.n() > 0 {
-                acc.push(o.avail.goodput.mean());
-            }
-        }
-        (acc.n() > 0).then(|| acc.mean())
-    }
-
-    /// Mean retries per request across every cell that probed (`None`
-    /// when no cell ran under a fault plan) — how hard the retry policy
-    /// worked for the goodput it delivered.
-    pub fn mean_retries_per_request(&self) -> Option<f64> {
-        let mut acc = RunningStats::new();
-        for o in &self.cells {
-            if o.avail.retries.n() > 0 {
-                acc.push(o.avail.retries.mean());
+            if o.avail[metric].n() > 0 {
+                acc.push(o.avail[metric].mean());
             }
         }
         (acc.n() > 0).then(|| acc.mean())
     }
 
     /// Ratio of the mean hottest-shard lifetime under concentrated vs
-    /// spread placement, across the sharded cells whose labels say which
-    /// placement they ran (`None` unless both placements appear) — the
-    /// shard-axis headline the campaign bench emits: below 1.0 means
-    /// concentrating the probe budget kills the hottest shard faster.
+    /// spread placement, across the sharded cells (`None` unless both
+    /// placements appear) — the shard-axis headline the campaign bench
+    /// emits: below 1.0 means concentrating the probe budget kills the
+    /// hottest shard faster.
     pub fn hot_shard_lifetime_ratio(&self) -> Option<f64> {
         let mut conc = RunningStats::new();
         let mut spread = RunningStats::new();
         for o in &self.cells {
-            if o.avail.hot_lifetime.n() == 0 {
+            let hot = o.avail[MetricId::HotLifetime];
+            if hot.n() == 0 {
                 continue;
             }
-            if o.cell.label.contains("concentrate") {
-                conc.push(o.avail.hot_lifetime.mean());
-            } else if o.cell.label.contains("spread") {
-                spread.push(o.avail.hot_lifetime.mean());
+            let (ScenarioSpec::Protocol(e) | ScenarioSpec::Campaign { experiment: e, .. }) =
+                o.cell.spec
+            else {
+                continue;
+            };
+            if let ShardSpec::Sharded { placement, .. } = e.shard {
+                match placement {
+                    ShardPlacement::Concentrate => &mut conc,
+                    ShardPlacement::Spread => &mut spread,
+                }
+                .push(hot.mean());
             }
         }
         (conc.n() > 0 && spread.n() > 0 && spread.mean() > 0.0)
             .then(|| conc.mean() / spread.mean())
-    }
-
-    /// Mean view-change latency across every cell that completed one
-    /// (`None` when no cell armed the repair axis) — the repair-axis
-    /// headline the campaign bench emits: for a crash-of-the-leader
-    /// schedule it sits at the SMR view timer, not the PB failover
-    /// timeout.
-    pub fn mean_view_change_latency(&self) -> Option<f64> {
-        let mut acc = RunningStats::new();
-        for o in &self.cells {
-            if o.avail.view_change_latency.n() > 0 {
-                acc.push(o.avail.view_change_latency.mean());
-            }
-        }
-        (acc.n() > 0).then(|| acc.mean())
     }
 }
 
@@ -1493,7 +1384,8 @@ impl CrossCheck {
                     predicted,
                     ratio: o.estimate.mean / predicted,
                     censored: o.censored,
-                    downtime: (o.avail.downtime.n() > 0).then(|| o.avail.downtime.mean()),
+                    downtime: (o.avail[MetricId::Downtime].n() > 0)
+                        .then(|| o.avail[MetricId::Downtime].mean()),
                     predicted_downtime,
                 })
             })

@@ -253,52 +253,153 @@ pub struct DegradePoint {
     pub gave_up: f64,
 }
 
-/// Welford accumulators for the availability metrics of one sweep cell,
-/// merged chunk-by-chunk alongside the lifetime statistics with the same
-/// fixed reduction order — so availability reports are bit-identical at
-/// any thread count, exactly like the lifetimes.
-///
-/// `failover_latency` only accumulates trials that completed at least
-/// one failover, so its `n()` may be smaller than the other metrics'.
-/// The degradation accumulators likewise only see trials whose
-/// [`AvailPoint::degrade`] is populated (fault-axis cells with a goodput
-/// probe), so fault-free sweeps report them empty.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct AvailStats {
-    /// Per-trial downtime fraction.
-    pub downtime: RunningStats,
-    /// Per-trial failover count.
-    pub failovers: RunningStats,
-    /// Per-trial mean failover latency (steps), trials with ≥ 1 failover.
-    pub failover_latency: RunningStats,
-    /// Per-trial requests lost during outage windows.
-    pub lost: RunningStats,
-    /// Per-trial goodput fraction, fault-axis trials only.
-    pub goodput: RunningStats,
-    /// Per-trial retransmissions per request, fault-axis trials only.
-    pub retries: RunningStats,
-    /// Per-trial duplicates suppressed, fault-axis trials only.
-    pub dup_suppressed: RunningStats,
-    /// Per-trial gave-up requests, fault-axis trials only.
-    pub gave_up: RunningStats,
-    /// Per-trial hottest-shard lifetime, sharded trials only.
-    pub hot_lifetime: RunningStats,
-    /// Per-trial hottest-shard load fraction, sharded trials only.
-    pub hot_load: RunningStats,
-    /// Per-trial rebalance-moved requests, sharded trials only.
-    pub moved: RunningStats,
-    /// Per-trial fallen-group count, sharded trials only.
-    pub groups_fallen: RunningStats,
-    /// Per-trial completed view changes, repair-axis trials only.
-    pub view_changes: RunningStats,
-    /// Per-trial mean view-change latency (steps), repair-axis trials
-    /// with ≥ 1 completed view change only.
-    pub view_change_latency: RunningStats,
-    /// Per-trial state-transfer units paid, repair-axis trials only.
-    pub transfer_units: RunningStats,
-    /// Per-trial peak transfer-queue depth, repair-axis trials only.
-    pub storm_queue: RunningStats,
+/// Which per-trial sub-point feeds a metric, and so which sweeps show
+/// its report columns: [`MetricGroup::Avail`] columns always appear, the
+/// others only when some cell of the sweep sampled the group.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum MetricGroup {
+    /// Read off every protocol trial's [`AvailPoint`].
+    Avail,
+    /// Read off [`AvailPoint::degrade`] (fault-axis trials).
+    Degrade,
+    /// Read off [`AvailPoint::shard`] (sharded trials).
+    Shard,
+    /// Read off [`AvailPoint::repair`] (repair-axis trials).
+    Repair,
 }
+
+/// Names one row of [`METRICS`] (and one accumulator of [`AvailStats`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum MetricId {
+    /// Per-trial downtime fraction.
+    Downtime,
+    /// Per-trial failover count.
+    Failovers,
+    /// Per-trial mean failover latency (steps), trials with ≥ 1 failover.
+    FailoverLatency,
+    /// Per-trial requests lost during outage windows.
+    Lost,
+    /// Per-trial goodput fraction.
+    Goodput,
+    /// Per-trial retransmissions per request.
+    Retries,
+    /// Per-trial duplicates suppressed.
+    DupSuppressed,
+    /// Per-trial gave-up requests.
+    GaveUp,
+    /// Per-trial hottest-shard lifetime.
+    HotLifetime,
+    /// Per-trial hottest-shard load fraction.
+    HotLoad,
+    /// Per-trial rebalance-moved requests.
+    Moved,
+    /// Per-trial fallen-group count.
+    GroupsFallen,
+    /// Per-trial completed view changes.
+    ViewChanges,
+    /// Per-trial mean view-change latency (steps), trials with ≥ 1
+    /// completed view change.
+    ViewChangeLatency,
+    /// Per-trial state-transfer units paid.
+    TransferUnits,
+    /// Per-trial peak transfer-queue depth.
+    StormQueue,
+}
+
+/// One declared sweep metric: its report names, its column group and how
+/// to read it off a trial's [`AvailPoint`] (`None` when the trial did not
+/// measure it).
+#[derive(Clone, Copy, Debug)]
+pub struct Metric {
+    /// The row's id — equal to its index in [`METRICS`].
+    pub id: MetricId,
+    /// CSV column header.
+    pub csv: &'static str,
+    /// JSON key.
+    pub json: &'static str,
+    /// Column group.
+    pub group: MetricGroup,
+    /// The per-trial reading.
+    pub read: fn(&AvailPoint) -> Option<f64>,
+}
+
+/// Every sweep metric, in report column order. Adding a metric means a
+/// field on its point type, a [`MetricId`] and a row here; accumulation,
+/// merging, both report renderers and the headlines derive from the
+/// table.
+#[rustfmt::skip]
+pub const METRICS: &[Metric] = &{
+    use MetricGroup::*;
+    use MetricId::*;
+    const fn row(
+        id: MetricId,
+        csv: &'static str,
+        json: &'static str,
+        group: MetricGroup,
+        read: fn(&AvailPoint) -> Option<f64>,
+    ) -> Metric {
+        Metric { id, csv, json, group, read }
+    }
+    [
+        row(Downtime, "downtime", "downtime", Avail,
+            |p| Some(p.downtime_fraction)),
+        row(Failovers, "failovers", "failovers", Avail,
+            |p| Some(p.failovers)),
+        row(FailoverLatency, "failover_latency", "failover_latency", Avail,
+            |p| p.failover_latency),
+        row(Lost, "lost_requests", "lost_requests", Avail,
+            |p| Some(p.lost_requests)),
+        row(Goodput, "goodput", "goodput", Degrade,
+            |p| p.degrade.map(|d| d.goodput_fraction)),
+        row(Retries, "retries_per_req", "retries", Degrade,
+            |p| p.degrade.map(|d| d.retries_per_request)),
+        row(DupSuppressed, "dup_suppressed", "dup_suppressed", Degrade,
+            |p| p.degrade.map(|d| d.duplicates_suppressed)),
+        row(GaveUp, "gave_up", "gave_up", Degrade,
+            |p| p.degrade.map(|d| d.gave_up)),
+        row(HotLifetime, "hot_lifetime", "hot_lifetime", Shard,
+            |p| p.shard.map(|s| s.hot_lifetime)),
+        row(HotLoad, "hot_load", "hot_load", Shard,
+            |p| p.shard.map(|s| s.hot_load_fraction)),
+        row(Moved, "moved_requests", "moved_requests", Shard,
+            |p| p.shard.map(|s| s.moved_requests)),
+        row(GroupsFallen, "groups_fallen", "groups_fallen", Shard,
+            |p| p.shard.map(|s| s.groups_fallen)),
+        row(ViewChanges, "view_changes", "view_changes", Repair,
+            |p| p.repair.map(|r| r.view_changes)),
+        row(ViewChangeLatency, "view_change_latency", "view_change_latency", Repair,
+            |p| p.repair.and_then(|r| r.view_change_latency)),
+        row(TransferUnits, "transfer_units", "transfer_units", Repair,
+            |p| p.repair.map(|r| r.transfer_units)),
+        row(StormQueue, "storm_queue_depth", "storm_queue_depth", Repair,
+            |p| p.repair.map(|r| r.storm_queue_depth)),
+    ]
+};
+
+// Each row sits at its id's index, so `AvailStats` can index by id.
+const _: () = {
+    let mut i = 0;
+    while i < METRICS.len() {
+        assert!(
+            METRICS[i].id as usize == i,
+            "METRICS rows must follow MetricId order"
+        );
+        i += 1;
+    }
+};
+
+/// Welford accumulators for the [`METRICS`] of one sweep cell, indexed
+/// by [`MetricId`], merged chunk-by-chunk alongside the lifetime
+/// statistics with the same fixed reduction order — so availability
+/// reports are bit-identical at any thread count, exactly like the
+/// lifetimes.
+///
+/// A metric accumulates only the trials that measured it, so the
+/// latency metrics' `n()` may be smaller than the other metrics', and
+/// the non-[`MetricGroup::Avail`] groups stay empty in sweeps without
+/// their axis.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct AvailStats([RunningStats; METRICS.len()]);
 
 impl Default for AvailStats {
     /// [`AvailStats::new`] — empty accumulators with proper min/max
@@ -308,84 +409,43 @@ impl Default for AvailStats {
     }
 }
 
+impl std::ops::Index<MetricId> for AvailStats {
+    type Output = RunningStats;
+
+    fn index(&self, id: MetricId) -> &RunningStats {
+        &self.0[id as usize]
+    }
+}
+
 impl AvailStats {
     /// An empty accumulator.
     pub fn new() -> AvailStats {
-        AvailStats {
-            downtime: RunningStats::new(),
-            failovers: RunningStats::new(),
-            failover_latency: RunningStats::new(),
-            lost: RunningStats::new(),
-            goodput: RunningStats::new(),
-            retries: RunningStats::new(),
-            dup_suppressed: RunningStats::new(),
-            gave_up: RunningStats::new(),
-            hot_lifetime: RunningStats::new(),
-            hot_load: RunningStats::new(),
-            moved: RunningStats::new(),
-            groups_fallen: RunningStats::new(),
-            view_changes: RunningStats::new(),
-            view_change_latency: RunningStats::new(),
-            transfer_units: RunningStats::new(),
-            storm_queue: RunningStats::new(),
-        }
+        AvailStats([RunningStats::new(); METRICS.len()])
     }
 
     /// Adds one trial's measurements.
     pub fn push(&mut self, point: &AvailPoint) {
-        self.downtime.push(point.downtime_fraction);
-        self.failovers.push(point.failovers);
-        if let Some(latency) = point.failover_latency {
-            self.failover_latency.push(latency);
-        }
-        self.lost.push(point.lost_requests);
-        if let Some(d) = point.degrade {
-            self.goodput.push(d.goodput_fraction);
-            self.retries.push(d.retries_per_request);
-            self.dup_suppressed.push(d.duplicates_suppressed);
-            self.gave_up.push(d.gave_up);
-        }
-        if let Some(s) = point.shard {
-            self.hot_lifetime.push(s.hot_lifetime);
-            self.hot_load.push(s.hot_load_fraction);
-            self.moved.push(s.moved_requests);
-            self.groups_fallen.push(s.groups_fallen);
-        }
-        if let Some(r) = point.repair {
-            self.view_changes.push(r.view_changes);
-            if let Some(latency) = r.view_change_latency {
-                self.view_change_latency.push(latency);
+        for (acc, metric) in self.0.iter_mut().zip(METRICS) {
+            if let Some(x) = (metric.read)(point) {
+                acc.push(x);
             }
-            self.transfer_units.push(r.transfer_units);
-            self.storm_queue.push(r.storm_queue_depth);
         }
     }
 
     /// Merges another accumulator into this one, metric by metric (the
     /// same parallel-Welford combination as [`RunningStats::merge`]).
     pub fn merge(&mut self, other: &AvailStats) {
-        self.downtime.merge(&other.downtime);
-        self.failovers.merge(&other.failovers);
-        self.failover_latency.merge(&other.failover_latency);
-        self.lost.merge(&other.lost);
-        self.goodput.merge(&other.goodput);
-        self.retries.merge(&other.retries);
-        self.dup_suppressed.merge(&other.dup_suppressed);
-        self.gave_up.merge(&other.gave_up);
-        self.hot_lifetime.merge(&other.hot_lifetime);
-        self.hot_load.merge(&other.hot_load);
-        self.moved.merge(&other.moved);
-        self.groups_fallen.merge(&other.groups_fallen);
-        self.view_changes.merge(&other.view_changes);
-        self.view_change_latency.merge(&other.view_change_latency);
-        self.transfer_units.merge(&other.transfer_units);
-        self.storm_queue.merge(&other.storm_queue);
+        for (acc, theirs) in self.0.iter_mut().zip(&other.0) {
+            acc.merge(theirs);
+        }
     }
 
-    /// Whether no trial contributed availability measurements (cells of
-    /// scenarios without an availability dimension).
-    pub fn is_empty(&self) -> bool {
-        self.downtime.n() == 0
+    /// Whether some trial contributed a measurement to `group`.
+    pub fn sampled(&self, group: MetricGroup) -> bool {
+        METRICS
+            .iter()
+            .zip(&self.0)
+            .any(|(metric, acc)| metric.group == group && acc.n() > 0)
     }
 }
 
@@ -499,6 +559,35 @@ mod tests {
         assert!(t_quantile_975(5) > t_quantile_975(30));
         assert!(t_quantile_975(30) > t_quantile_975(1000));
         assert!((t_quantile_975(1_000_000) - 1.96).abs() < 1e-12);
+    }
+
+    #[test]
+    fn metric_names_are_unique() {
+        for (i, a) in METRICS.iter().enumerate() {
+            for b in &METRICS[i + 1..] {
+                assert_ne!(a.csv, b.csv, "duplicate CSV header");
+                assert_ne!(a.json, b.json, "duplicate JSON key");
+            }
+        }
+    }
+
+    #[test]
+    fn a_point_without_sub_points_feeds_only_the_avail_group() {
+        let mut stats = AvailStats::new();
+        stats.push(&AvailPoint {
+            downtime_fraction: 0.25,
+            failovers: 2.0,
+            failover_latency: Some(3.0),
+            lost_requests: 4.0,
+            degrade: None,
+            shard: None,
+            repair: None,
+        });
+        for m in METRICS {
+            let fed = m.group == MetricGroup::Avail;
+            assert_eq!(stats[m.id].n(), u64::from(fed), "{}", m.csv);
+            assert_eq!(stats.sampled(m.group), fed, "{:?}", m.group);
+        }
     }
 
     #[test]

@@ -16,19 +16,16 @@
 //!    failover timeout's order, and requests are lost only in outage
 //!    windows.
 
+mod common;
+
 use fortress_core::system::{pb_failover_timeout, SystemClass};
 use fortress_sim::outage::OutageSpec;
 use fortress_sim::runner::{Runner, TrialBudget};
 use fortress_sim::scenario::{availability_base, availability_sweep, SweepScheduler, SweepSpec};
+use fortress_sim::stats::MetricId;
 
 /// Seed of the pinned availability sweep.
 const GOLDEN_SEED: u64 = 0x000A_7A11;
-
-/// Path of the committed golden CSV.
-const GOLDEN_PATH: &str = concat!(
-    env!("CARGO_MANIFEST_DIR"),
-    "/tests/golden/availability_small.csv"
-);
 
 /// Contract 1: the outage-bearing sweep is bit-identical serial vs
 /// cell-parallel and pinned by a committed golden file.
@@ -50,17 +47,8 @@ fn availability_sweep_matches_golden_file_at_any_thread_count() {
         "availability sweep diverged between 1 and 8 threads"
     );
     let csv = serial.to_table().to_csv();
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::create_dir_all(std::path::Path::new(GOLDEN_PATH).parent().unwrap()).unwrap();
-        std::fs::write(GOLDEN_PATH, &csv).unwrap();
-    }
-    let golden = std::fs::read_to_string(GOLDEN_PATH)
-        .expect("golden file missing — regenerate with UPDATE_GOLDEN=1");
-    assert_eq!(
-        csv, golden,
-        "availability sweep drifted from the golden pin; if intentional, \
-         regenerate with UPDATE_GOLDEN=1"
-    );
+    common::assert_golden("availability_small.csv", &csv);
+    common::assert_golden("availability_small.json", &format!("{}\n", serial.to_json()));
 }
 
 /// A small fortified cell list over a swept outage axis, shared by the
@@ -96,8 +84,8 @@ fn downtime_grows_monotonically_with_outage_rate() {
         .cells
         .iter()
         .map(|o| {
-            assert!(o.avail.downtime.n() > 0, "protocol cells must measure");
-            o.avail.downtime.mean()
+            assert!(o.avail[MetricId::Downtime].n() > 0, "protocol cells must measure");
+            o.avail[MetricId::Downtime].mean()
         })
         .collect();
     for pair in downtimes.windows(2) {
@@ -133,8 +121,8 @@ fn fortified_downtime_never_exceeds_bare_pb_on_paired_schedules() {
     let budget = TrialBudget::Fixed(48);
     let s2_report = SweepScheduler::new(&runner, budget).run(&s2);
     let s1_report = SweepScheduler::new(&runner, budget).run(&s1);
-    let s2_down = s2_report.cells[0].avail.downtime.mean();
-    let s1_down = s1_report.cells[0].avail.downtime.mean();
+    let s2_down = s2_report.cells[0].avail[MetricId::Downtime].mean();
+    let s1_down = s1_report.cells[0].avail[MetricId::Downtime].mean();
     assert!(
         s2_down <= s1_down + 0.02,
         "fortified downtime ({s2_down:.4}) must not exceed bare PB's \
@@ -160,14 +148,14 @@ fn outage_cells_complete_failovers_with_bounded_latency() {
     let report = SweepScheduler::new(&Runner::new(), TrialBudget::Fixed(48)).run(&cells);
     let outcome = &report.cells[0];
     assert!(
-        outcome.avail.failovers.mean() > 0.0,
+        outcome.avail[MetricId::Failovers].mean() > 0.0,
         "periodic primary outages must provoke failovers"
     );
     assert!(
-        outcome.avail.failover_latency.n() > 0,
+        outcome.avail[MetricId::FailoverLatency].n() > 0,
         "some trials must complete a failover window"
     );
-    let latency = outcome.avail.failover_latency.mean();
+    let latency = outcome.avail[MetricId::FailoverLatency].mean();
     let timeout = pb_failover_timeout() as f64;
     assert!(
         latency > 0.0 && latency <= 3.0 * timeout,
@@ -175,13 +163,13 @@ fn outage_cells_complete_failovers_with_bounded_latency() {
          failover timeout ({timeout})"
     );
     assert!(
-        outcome.avail.lost.mean() > 0.0,
+        outcome.avail[MetricId::Lost].mean() > 0.0,
         "requests sent into a downed machine must be counted as lost"
     );
     // The no-outage twin loses nothing and fails over never.
     let quiet = s2_cells_with_outages(vec![OutageSpec::None], 0xFA_17);
     let quiet_report =
         SweepScheduler::new(&Runner::new(), TrialBudget::Fixed(24)).run(&quiet);
-    assert_eq!(quiet_report.cells[0].avail.failovers.mean(), 0.0);
-    assert_eq!(quiet_report.cells[0].avail.lost.mean(), 0.0);
+    assert_eq!(quiet_report.cells[0].avail[MetricId::Failovers].mean(), 0.0);
+    assert_eq!(quiet_report.cells[0].avail[MetricId::Lost].mean(), 0.0);
 }

@@ -15,7 +15,7 @@
 
 mod common;
 
-use common::{small_grid, GOLDEN_PATH, GOLDEN_SEED};
+use common::{small_grid, GOLDEN_SEED};
 use fortress_attack::campaign::StrategyKind;
 use fortress_core::probelog::SuspicionPolicy;
 use fortress_core::system::SystemClass;
@@ -38,17 +38,7 @@ fn small_grid_matches_golden_file() {
         csv,
         "campaign grid diverged across thread counts"
     );
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::create_dir_all(std::path::Path::new(GOLDEN_PATH).parent().unwrap()).unwrap();
-        std::fs::write(GOLDEN_PATH, &csv).unwrap();
-    }
-    let golden = std::fs::read_to_string(GOLDEN_PATH)
-        .expect("golden file missing — regenerate with UPDATE_GOLDEN=1");
-    assert_eq!(
-        csv, golden,
-        "campaign means drifted from the golden pin; if the change is \
-         intentional, regenerate with UPDATE_GOLDEN=1"
-    );
+    common::assert_golden("campaign_small.csv", &csv);
 }
 
 /// Contract 2: per-cell results are independent of the grid layout.

@@ -1,6 +1,9 @@
 //! Shared fixtures for the campaign/scheduler integration suites — one
 //! definition of the small pinned grid, so the golden-file tests and the
 //! scheduler bit-identity tests can never drift onto different cells.
+//! Each suite uses a subset of the fixtures.
+
+#![allow(dead_code)]
 
 use fortress_attack::campaign::StrategyKind;
 use fortress_core::probelog::SuspicionPolicy;
@@ -35,4 +38,22 @@ pub fn small_grid() -> CampaignGrid {
             ..ProtocolExperiment::new(SystemClass::S2Fortress, Policy::StartupOnly)
         },
     }
+}
+
+/// Asserts that `actual` equals the committed golden file
+/// `tests/golden/<name>` byte for byte. With `UPDATE_GOLDEN` set in the
+/// environment the file is rewritten from `actual` first.
+pub fn assert_golden(name: &str, actual: &str) {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(name);
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(&path, actual).unwrap();
+    }
+    let golden = std::fs::read_to_string(&path)
+        .unwrap_or_else(|_| panic!("golden file {name} missing — regenerate with UPDATE_GOLDEN=1"));
+    assert_eq!(
+        actual, golden,
+        "{name} drifted from the golden pin; if intentional, regenerate with UPDATE_GOLDEN=1"
+    );
 }

@@ -27,12 +27,10 @@ use fortress_sim::faults::FaultSpec;
 use fortress_sim::protocol_mc::ProtocolExperiment;
 use fortress_sim::runner::{Runner, TrialBudget};
 use fortress_sim::scenario::{fault_base, fault_sweep, SweepScheduler, SweepSpec};
+use fortress_sim::stats::MetricId;
 
 /// Seed of the pinned fault sweep.
 const GOLDEN_SEED: u64 = 0x000F_A017;
-
-/// Path of the committed golden CSV.
-const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/fault_small.csv");
 
 /// A loss-only fault coordinate with the given retry policy.
 fn lossy(loss: f64, retry: RetryPolicy) -> FaultSpec {
@@ -70,17 +68,8 @@ fn fault_sweep_matches_golden_file_at_any_thread_count() {
         header.contains("goodput") && header.contains("retries_per_req"),
         "degradation columns must surface in a fault-bearing sweep: {header}"
     );
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::create_dir_all(std::path::Path::new(GOLDEN_PATH).parent().unwrap()).unwrap();
-        std::fs::write(GOLDEN_PATH, &csv).unwrap();
-    }
-    let golden = std::fs::read_to_string(GOLDEN_PATH)
-        .expect("golden file missing — regenerate with UPDATE_GOLDEN=1");
-    assert_eq!(
-        csv, golden,
-        "fault sweep drifted from the golden pin; if intentional, \
-         regenerate with UPDATE_GOLDEN=1"
-    );
+    common::assert_golden("fault_small.csv", &csv);
+    common::assert_golden("fault_small.json", &format!("{}\n", serial.to_json()));
 }
 
 /// Contract 2a: every campaign-golden cell carries `FaultSpec::None`,
@@ -139,8 +128,8 @@ fn goodput_is_monotone_non_increasing_in_loss() {
         .cells
         .iter()
         .map(|o| {
-            assert!(o.avail.goodput.n() > 0, "degraded cells must probe");
-            o.avail.goodput.mean()
+            assert!(o.avail[MetricId::Goodput].n() > 0, "degraded cells must probe");
+            o.avail[MetricId::Goodput].mean()
         })
         .collect();
     // Not exactly 1.0: trials the attacker ends leave the last request

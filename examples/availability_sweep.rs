@@ -36,6 +36,7 @@ use fortress::core::system::SystemClass;
 use fortress::sim::outage::OutageSpec;
 use fortress::sim::runner::{Runner, TrialBudget};
 use fortress::sim::scenario::{availability_base, SweepScheduler, SweepSpec};
+use fortress::sim::stats::MetricId;
 
 fn main() {
     // Fortified S2 under two adversaries × three outage schedules, on
@@ -78,7 +79,7 @@ fn main() {
     println!("{}", report.to_table().to_aligned());
 
     let mean_downtime = report
-        .mean_downtime_fraction()
+        .cell_mean(MetricId::Downtime)
         .expect("protocol cells measure downtime");
     println!(
         "mean downtime fraction across the sweep: {mean_downtime:.3} \

@@ -3,7 +3,7 @@
 use crate::strategy::{Strategy, TestRng};
 use std::ops::Range;
 
-/// Length specification for [`vec`]: a fixed size or a half-open range.
+/// Length specification for [`vec()`]: a fixed size or a half-open range.
 #[derive(Clone, Copy, Debug)]
 pub struct SizeRange {
     lo: usize,
